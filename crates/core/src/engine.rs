@@ -301,6 +301,10 @@ struct EngineState<D: InstrData, R> {
     /// (`false` = register file, `true` = forwarding scoreboard);
     /// consumed by the immediately following fused acquire.
     fused_memo: Vec<bool>,
+    /// The side-effect collector. Actions and sources borrow it in place
+    /// (a disjoint field borrow beside `machine` and the token payload);
+    /// it leaves the state only while [`EngineState::apply_fx`]
+    /// applies an emit, flush, reservation or halt it gathered.
     fx: Fx<D>,
 }
 
@@ -531,7 +535,7 @@ impl<D: InstrData, R> EngineState<D, R> {
             self.res_wake[pi] = next_expiry;
             let stage = plan.hot_place[pi].stage as usize;
             for &id in &expired {
-                self.pool.take(id);
+                self.pool.discard(id);
                 self.stage_occ[stage] -= 1;
             }
             expired.clear();
@@ -961,11 +965,8 @@ impl<D: InstrData, R> EngineState<D, R> {
         // Move the token.
         let mut seq = 0;
         if sb.dest_is_end {
-            let tok = self.pool.take(token);
-            if self.cfg.trace {
-                seq = tok.seq;
-            }
             let leaked = self.machine.regs.release(token);
+            seq = self.pool.discard(token);
             self.stats.leaked_reservations += leaked as u64;
             self.stats.retired += 1;
             if self.cfg.trace {
@@ -1077,25 +1078,21 @@ impl<D: InstrData, R> EngineState<D, R> {
                     self.oldest_ready(x).expect("extra input availability was checked in try_fire");
                 let vkind = self.pool.get(victim).expect("victim is live").kind;
                 self.remove_from_place(plan, x.index(), victim, vkind);
-                let t = self.pool.take(victim);
-                if t.kind == TokenKind::Instruction {
+                if vkind == TokenKind::Instruction {
                     self.machine.regs.release(victim);
                 }
+                self.pool.discard(victim);
             }
         }
 
         self.remove_from_place(plan, place.index(), token, TokenKind::Instruction);
 
-        // Run the action, collecting side effects into the reusable
-        // scratch collector (its buffers persist across fires, so emitting
-        // actions stop allocating per fire).
-        let mut fx = std::mem::replace(&mut self.fx, Fx::new(None));
-        debug_assert!(
-            fx.emits.is_empty() && fx.flush_places.is_empty() && fx.reserves.is_empty() && !fx.halt
-        );
-        fx.token = Some(token);
-        fx.token_delay = None;
-        let mut has_fx = false;
+        // Run the action against the engine-owned collector, borrowed in
+        // place (its buffers persist across fires, so emitting actions
+        // stop allocating per fire).
+        debug_assert!(!self.fx.has_effects());
+        self.fx.token = Some(token);
+        self.fx.token_delay = None;
         if h.has_action {
             let disp = plan.dispatch[tid];
             if matches!(disp.guard, GuardCode::Fused { .. }) {
@@ -1106,7 +1103,7 @@ impl<D: InstrData, R> EngineState<D, R> {
             if matches!(disp.guard, GuardCode::Fused { .. }) {
                 // The fused guard just passed for this very token; latch
                 // each operand from the source it memoized.
-                ir::fused_acquire(&mut self.machine, data, &mut fx, &self.fused_memo);
+                ir::fused_acquire(&mut self.machine, data, &mut self.fx, &self.fused_memo);
             }
             match disp.action {
                 ActionCode::None => {}
@@ -1114,30 +1111,23 @@ impl<D: InstrData, R> EngineState<D, R> {
                     let Some(ActionKind::Closure(action)) = &model.transitions[tid].action else {
                         unreachable!("ActionCode::Closure implies a closure action")
                     };
-                    action(&mut self.machine, data, &mut fx);
+                    action(&mut self.machine, data, &mut self.fx);
                 }
                 ActionCode::Prog(idx) => ir::run_action(
                     plan.programs[idx as usize].ops(),
                     &mut self.machine,
                     data,
-                    &mut fx,
+                    &mut self.fx,
                     &model.hooks,
                 ),
             }
-            has_fx = !fx.emits.is_empty()
-                || !fx.flush_places.is_empty()
-                || !fx.reserves.is_empty()
-                || fx.halt;
         }
 
         // Move the token.
         let mut seq = 0;
         if h.dest_is_end {
-            let tok = self.pool.take(token);
-            if self.cfg.trace {
-                seq = tok.seq;
-            }
             let leaked = self.machine.regs.release(token);
+            seq = self.pool.discard(token);
             self.stats.leaked_reservations += leaked as u64;
             self.stats.retired += 1;
             if self.cfg.trace {
@@ -1148,7 +1138,7 @@ impl<D: InstrData, R> EngineState<D, R> {
                 });
             }
         } else {
-            let eff = match fx.token_delay {
+            let eff = match self.fx.token_delay {
                 None => h.base_ready,
                 Some(d) => h.tdelay + u64::from(d),
             };
@@ -1200,11 +1190,10 @@ impl<D: InstrData, R> EngineState<D, R> {
             }
         }
 
-        if has_fx {
-            self.apply_fx(model, plan, &mut fx);
+        self.fx.token = None;
+        if self.fx.has_effects() {
+            self.apply_fx(model, plan);
         }
-        fx.token = None;
-        self.fx = fx;
         self.stats.fires[tid] += 1;
         if self.cfg.trace {
             self.trace.push(TraceEvent::Fired {
@@ -1215,9 +1204,14 @@ impl<D: InstrData, R> EngineState<D, R> {
         }
     }
 
-    /// Applies and drains the collected side effects, leaving `fx` empty
-    /// (so its buffers can be reused by the next firing).
-    fn apply_fx(&mut self, model: &Model<D, R>, plan: &ExecPlan, fx: &mut Fx<D>) {
+    /// Applies and drains the side effects the engine-owned collector
+    /// gathered, leaving it empty (so its buffers are reused by the next
+    /// firing). Callers check [`Fx::has_effects`] first: the collector
+    /// moves out of `self` only when there is something to apply, because
+    /// applying re-enters the engine (emits insert tokens, flushes run
+    /// squash handlers).
+    fn apply_fx(&mut self, model: &Model<D, R>, plan: &ExecPlan) {
+        let mut fx = std::mem::replace(&mut self.fx, Fx::new(None));
         let cycle = self.cycle;
         for (place, expire) in fx.reserves.drain(..) {
             // Always-on (res_places is sorted; the search is cheap and
@@ -1251,6 +1245,7 @@ impl<D: InstrData, R> EngineState<D, R> {
             self.halted = true;
             fx.halt = false;
         }
+        self.fx = fx;
     }
 
     /// Squashes every token in `place`, releasing register reservations.
@@ -1300,22 +1295,13 @@ impl<D: InstrData, R> EngineState<D, R> {
                         break;
                     }
                 }
-                let mut fx = std::mem::replace(&mut self.fx, Fx::new(None));
-                debug_assert!(
-                    fx.emits.is_empty()
-                        && fx.flush_places.is_empty()
-                        && fx.reserves.is_empty()
-                        && !fx.halt
-                );
-                fx.token = None;
-                fx.token_delay = None;
-                let payload = {
-                    let produce = &model.sources[si].produce;
-                    produce(&mut self.machine, &mut fx)
-                };
+                debug_assert!(!self.fx.has_effects());
+                self.fx.token = None;
+                self.fx.token_delay = None;
+                let payload = (model.sources[si].produce)(&mut self.machine, &mut self.fx);
                 let produced = payload.is_some();
                 if let Some(data) = payload {
-                    let eff = match fx.token_delay {
+                    let eff = match self.fx.token_delay {
                         None => hp.delay,
                         Some(d) => u64::from(d),
                     };
@@ -1364,14 +1350,9 @@ impl<D: InstrData, R> EngineState<D, R> {
                         });
                     }
                 }
-                if !fx.emits.is_empty()
-                    || !fx.flush_places.is_empty()
-                    || !fx.reserves.is_empty()
-                    || fx.halt
-                {
-                    self.apply_fx(model, plan, &mut fx);
+                if self.fx.has_effects() {
+                    self.apply_fx(model, plan);
                 }
-                self.fx = fx;
                 if self.halted || !produced {
                     break;
                 }

@@ -259,6 +259,16 @@ impl<D> Fx<D> {
         }
     }
 
+    /// Whether an emit, flush, reservation or halt is waiting to be
+    /// applied.
+    #[inline]
+    pub(crate) fn has_effects(&self) -> bool {
+        !self.emits.is_empty()
+            || !self.flush_places.is_empty()
+            || !self.reserves.is_empty()
+            || self.halt
+    }
+
     /// The id of the firing token. Needed for `reserveWrite`/`writeback`.
     ///
     /// # Panics

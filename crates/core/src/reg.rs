@@ -58,6 +58,19 @@ struct RegDef {
 
 /// Register storage plus the writers scoreboard.
 ///
+/// Besides the per-cell `writers` entries, the file keeps one *held set*
+/// per token pool slot: a bitset over the cells, sized to the file, that
+/// covers every cell whose writer lives in that slot. [`note_move`] and
+/// [`release`] visit only the moving token's held set, so a token move
+/// costs what the token holds rather than a scan of the whole scoreboard.
+/// A held set may also list cells the slot no longer (or, under a bumped
+/// generation, not yet) owns; every visit checks the writer's full
+/// [`TokenId`] before acting, so stale bits cost a probe, never a wrong
+/// update.
+///
+/// [`note_move`]: RegisterFile::note_move
+/// [`release`]: RegisterFile::release
+///
 /// # Examples
 ///
 /// ```
@@ -72,13 +85,24 @@ struct RegDef {
 pub struct RegisterFile {
     cells: Vec<u32>,
     writers: Vec<Option<Writer>>,
+    /// Held sets, `words` bitset words per token slot (slot `s` owns
+    /// `held[s * words..(s + 1) * words]`); grown on first reservation.
+    held: Vec<u64>,
+    /// Bitset words per held set: `cells.len()` rounded up to 64.
+    words: usize,
     regs: Vec<RegDef>,
 }
 
 impl RegisterFile {
     /// Creates an empty register file.
     pub fn new() -> Self {
-        RegisterFile { cells: Vec::new(), writers: Vec::new(), regs: Vec::new() }
+        RegisterFile {
+            cells: Vec::new(),
+            writers: Vec::new(),
+            held: Vec::new(),
+            words: 0,
+            regs: Vec::new(),
+        }
     }
 
     /// Declares a register backed by one fresh storage cell.
@@ -86,6 +110,17 @@ impl RegisterFile {
         let cell = self.cells.len() as u16;
         self.cells.push(0);
         self.writers.push(None);
+        let words = self.cells.len().div_ceil(64);
+        if words != self.words {
+            // Widen every held set to the new stride (registers are
+            // normally declared before any reservation exists).
+            let mut held = vec![0; self.held.len() / self.words.max(1) * words];
+            for (new, old) in held.chunks_mut(words).zip(self.held.chunks(self.words.max(1))) {
+                new[..old.len()].copy_from_slice(old);
+            }
+            self.held = held;
+            self.words = words;
+        }
         self.regs.push(RegDef { name: name.to_string(), cells: vec![cell] });
         RegId::from_index(self.regs.len() - 1)
     }
@@ -180,7 +215,12 @@ impl RegisterFile {
     ///
     /// Panics (debug builds) if a cell is already reserved by a different
     /// token; models must check [`RegisterFile::writable`] in the guard.
+    #[inline]
     pub fn reserve_write(&mut self, reg: RegId, token: TokenId, place: PlaceId) {
+        let base = token.slot() * self.words;
+        if self.held.len() < base + self.words {
+            self.grow_held(base + self.words);
+        }
         for &c in &self.regs[reg.index()].cells {
             debug_assert!(
                 self.writers[c as usize].is_none_or(|w| w.token == token),
@@ -188,7 +228,16 @@ impl RegisterFile {
                 self.regs[reg.index()].name
             );
             self.writers[c as usize] = Some(Writer { token, place, value: None });
+            self.held[base + c as usize / 64] |= 1 << (c % 64);
         }
+    }
+
+    /// Extends the held sets to `len` words: a token slot reserves for the
+    /// first time. The pool reuses slots, so this stops once the pipeline
+    /// has been full once.
+    #[cold]
+    fn grow_held(&mut self, len: usize) {
+        self.held.resize(len, 0);
     }
 
     /// Publishes the computed value of an in-flight write, making it
@@ -205,12 +254,14 @@ impl RegisterFile {
 
     /// Commits `value` to the storage of `reg` and clears the reservation
     /// held by `token` (other tokens' reservations are left untouched).
+    #[inline]
     pub fn writeback(&mut self, reg: RegId, token: TokenId, value: u32) {
         for &c in &self.regs[reg.index()].cells {
             self.cells[c as usize] = value;
             if let Some(w) = &self.writers[c as usize] {
                 if w.token == token {
                     self.writers[c as usize] = None;
+                    self.held[token.slot() * self.words + c as usize / 64] &= !(1 << (c % 64));
                 }
             }
         }
@@ -253,24 +304,51 @@ impl RegisterFile {
     }
 
     /// Records that `token` has moved to `place`; updates every scoreboard
-    /// entry the token holds. Called by the engine on every token move.
+    /// entry the token holds. Called by the engine on every token move;
+    /// visits only the token's held set.
+    #[inline]
     pub fn note_move(&mut self, token: TokenId, place: PlaceId) {
-        for w in self.writers.iter_mut().flatten() {
-            if w.token == token {
-                w.place = place;
+        let base = token.slot() * self.words;
+        for k in 0..self.words {
+            let Some(&word) = self.held.get(base + k) else { return };
+            let mut bits = word;
+            while bits != 0 {
+                let c = k * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if let Some(w) = &mut self.writers[c] {
+                    if w.token == token {
+                        w.place = place;
+                    }
+                }
             }
         }
     }
 
-    /// Releases every reservation held by `token` (squash/flush path).
-    /// Returns the number of cells released.
+    /// Releases every reservation held by `token` (retire/squash/flush
+    /// path). Returns the number of cells released. Visits only the
+    /// token's held set, dropping every bit that no longer names a cell
+    /// written by this slot.
     pub fn release(&mut self, token: TokenId) -> usize {
         let mut n = 0;
-        for w in self.writers.iter_mut() {
-            if w.is_some_and(|x| x.token == token) {
-                *w = None;
-                n += 1;
+        let base = token.slot() * self.words;
+        for k in 0..self.words {
+            let Some(&word) = self.held.get(base + k) else { break };
+            let (mut bits, mut keep) = (word, 0);
+            while bits != 0 {
+                let b = bits.trailing_zeros();
+                bits &= bits - 1;
+                let c = k * 64 + b as usize;
+                match self.writers[c] {
+                    Some(w) if w.token == token => {
+                        self.writers[c] = None;
+                        n += 1;
+                    }
+                    // Another generation of the same slot still holds it.
+                    Some(w) if w.token.slot == token.slot => keep |= 1 << b,
+                    _ => {}
+                }
             }
+            self.held[base + k] = keep;
         }
         n
     }
@@ -282,12 +360,9 @@ impl RegisterFile {
 
     /// Clears all reservations and zeroes all storage.
     pub fn reset(&mut self) {
-        for c in &mut self.cells {
-            *c = 0;
-        }
-        for w in &mut self.writers {
-            *w = None;
-        }
+        self.cells.fill(0);
+        self.writers.fill(None);
+        self.held.fill(0);
     }
 }
 

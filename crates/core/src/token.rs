@@ -261,13 +261,36 @@ impl<D> TokenPool<D> {
     ///
     /// Panics if the id does not refer to a live token.
     pub fn take(&mut self, id: TokenId) -> Token<D> {
+        self.vacate(id).take().expect("token already taken")
+    }
+
+    /// Drops a token in place, returning only its sequence number — the
+    /// form of [`TokenPool::take`] for tokens whose payload is dead
+    /// (retirement, join consumption, reservation expiry), which never
+    /// moves the payload out of its slot.
+    ///
+    /// The slot's generation is bumped so the id can no longer resolve.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id does not refer to a live token.
+    #[inline]
+    pub fn discard(&mut self, id: TokenId) -> u64 {
+        let token = self.vacate(id);
+        let seq = token.as_ref().expect("token already taken").seq;
+        *token = None;
+        seq
+    }
+
+    /// Frees `id`'s slot (generation bump, free list, live count) and
+    /// returns its token cell for the caller to empty.
+    fn vacate(&mut self, id: TokenId) -> &mut Option<Token<D>> {
         let slot = &mut self.slots[id.slot()];
         assert_eq!(slot.gen, id.gen, "stale token id {id}");
-        let tok = slot.token.take().expect("token already taken");
         slot.gen = slot.gen.wrapping_add(1);
         self.free.push(id.slot); // id.slot is the raw u32
         self.live -= 1;
-        tok
+        &mut slot.token
     }
 
     /// Reinserts a token previously removed with [`TokenPool::take`] under a
@@ -374,6 +397,53 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(pool.get(b).unwrap().seq(), seq);
         assert_eq!(pool.get(b).unwrap().id(), b);
+    }
+
+    #[test]
+    fn discard_returns_seq_and_frees_the_slot() {
+        let mut pool: TokenPool<u32> = TokenPool::new();
+        let a = pool.alloc(TokenKind::Instruction, Some(1), place(0), 0, 0);
+        let b = pool.alloc(TokenKind::Instruction, Some(2), place(0), 0, 0);
+        let seq_b = pool.get(b).unwrap().seq();
+        assert_eq!(pool.discard(b), seq_b);
+        assert_eq!(pool.live(), 1, "live count stays exact");
+        assert!(pool.get(b).is_none(), "discarded id must not resolve");
+        assert_eq!(pool.get(a).unwrap().data(), Some(&1), "other tokens are untouched");
+
+        // The slot went back on the free list under a bumped generation.
+        let c = pool.alloc(TokenKind::Reservation, None, place(1), 0, 0);
+        assert_eq!(c.slot(), b.slot());
+        assert_eq!(c.generation(), b.generation().wrapping_add(1));
+        assert!(pool.get(b).is_none(), "the reused slot does not resurrect the old id");
+        assert_eq!(pool.get(c).unwrap().seq(), 2);
+        assert_eq!(pool.live(), 2);
+
+        assert_eq!(pool.discard(a), 0);
+        assert_eq!(pool.discard(c), 2);
+        assert_eq!(pool.live(), 0);
+        assert_eq!(pool.iter().count(), 0);
+    }
+
+    #[test]
+    fn discard_and_take_reject_a_stale_id_alike() {
+        let stale_msg = |f: fn(&mut TokenPool<u32>, TokenId)| {
+            let mut pool: TokenPool<u32> = TokenPool::new();
+            let a = pool.alloc(TokenKind::Instruction, Some(1), place(0), 0, 0);
+            pool.take(a);
+            let _b = pool.alloc(TokenKind::Instruction, Some(2), place(0), 0, 0);
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut pool, a)))
+                .expect_err("a stale id must panic");
+            (err.downcast_ref::<String>().cloned().unwrap_or_default(), pool.live())
+        };
+        let take = stale_msg(|p, id| {
+            let _ = p.take(id);
+        });
+        let discard = stale_msg(|p, id| {
+            let _ = p.discard(id);
+        });
+        assert!(take.0.contains("stale token id"), "{}", take.0);
+        assert_eq!(take, discard, "same message, and the pool is left untouched");
+        assert_eq!(discard.1, 1);
     }
 
     #[test]

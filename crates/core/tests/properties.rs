@@ -3,8 +3,9 @@
 //! guarantees hold for arbitrary inputs.
 
 use proptest::prelude::*;
-use rcpn::ids::{PlaceId, TokenId};
-use rcpn::reg::{Operand, RegisterFile};
+use rcpn::ids::{PlaceId, RegId, TokenId};
+use rcpn::reg::{Operand, RegisterFile, Writer};
+use rcpn::token::{TokenKind, TokenPool};
 
 fn tid(n: u32) -> TokenId {
     // TokenIds normally come from the engine pool; for scoreboard-only
@@ -21,6 +22,195 @@ fn tid(n: u32) -> TokenId {
         ));
     }
     last.expect("allocated at least one")
+}
+
+/// Linear-scan reference of the writers scoreboard: one optional
+/// [`Writer`] per cell, every query and update a plain loop over cells.
+/// It is the held-set-free definition [`RegisterFile`] must agree with.
+struct RefBoard {
+    cells: Vec<u32>,
+    writers: Vec<Option<Writer>>,
+    /// Cells of every register, in declaration order.
+    regs: Vec<Vec<usize>>,
+}
+
+impl RefBoard {
+    fn add_register(&mut self) {
+        self.regs.push(vec![self.cells.len()]);
+        self.cells.push(0);
+        self.writers.push(None);
+    }
+
+    fn add_overlapping(&mut self, over: &[usize]) {
+        let mut cells = Vec::new();
+        for &r in over {
+            for &c in &self.regs[r] {
+                if !cells.contains(&c) {
+                    cells.push(c);
+                }
+            }
+        }
+        self.regs.push(cells);
+    }
+
+    fn writer_of(&self, r: usize) -> Option<Writer> {
+        self.regs[r].iter().find_map(|&c| self.writers[c])
+    }
+
+    fn reservable_by(&self, r: usize, token: TokenId) -> bool {
+        self.regs[r].iter().all(|&c| self.writers[c].is_none_or(|w| w.token == token))
+    }
+
+    fn reserve_write(&mut self, r: usize, token: TokenId, place: PlaceId) {
+        for &c in &self.regs[r] {
+            self.writers[c] = Some(Writer { token, place, value: None });
+        }
+    }
+
+    fn publish(&mut self, r: usize, token: TokenId, value: u32) {
+        for &c in &self.regs[r] {
+            if let Some(w) = self.writers[c].as_mut().filter(|w| w.token == token) {
+                w.value = Some(value);
+            }
+        }
+    }
+
+    fn writeback(&mut self, r: usize, token: TokenId, value: u32) {
+        for &c in &self.regs[r] {
+            self.cells[c] = value;
+            if self.writers[c].is_some_and(|w| w.token == token) {
+                self.writers[c] = None;
+            }
+        }
+    }
+
+    fn note_move(&mut self, token: TokenId, place: PlaceId) {
+        for w in self.writers.iter_mut().flatten().filter(|w| w.token == token) {
+            w.place = place;
+        }
+    }
+
+    fn release(&mut self, token: TokenId) -> usize {
+        let mut n = 0;
+        for w in &mut self.writers {
+            if w.is_some_and(|x| x.token == token) {
+                *w = None;
+                n += 1;
+            }
+        }
+        n
+    }
+}
+
+/// Every query [`RegisterFile`] answers from the scoreboard, on every
+/// register, against the reference.
+fn assert_boards_agree(
+    rf: &RegisterFile,
+    reference: &RefBoard,
+    place: PlaceId,
+    mask: u64,
+) -> Result<(), TestCaseError> {
+    for r in 0..reference.regs.len() {
+        let reg = RegId::from_index(r);
+        let want = reference.writer_of(r);
+        prop_assert_eq!(rf.writer_of(reg).copied(), want, "writer_of r{}", r);
+        prop_assert_eq!(rf.readable(reg), want.is_none(), "readable r{}", r);
+        prop_assert_eq!(rf.value_of(reg), reference.cells[reference.regs[r][0]], "value r{}", r);
+        prop_assert_eq!(rf.forwarded(reg), want.and_then(|w| w.value), "forwarded r{}", r);
+        let fwd_here = want.is_some_and(|w| w.place == place && w.value.is_some());
+        prop_assert_eq!(rf.can_read_in(reg, place), fwd_here, "can_read_in r{}", r);
+        let fwd_masked = want.is_some_and(|w| {
+            w.value.is_some() && w.place.index() < 64 && (mask >> w.place.index()) & 1 == 1
+        });
+        prop_assert_eq!(rf.can_read_masked(reg, mask), fwd_masked, "can_read_masked r{}", r);
+    }
+    let reserved = reference.writers.iter().filter(|w| w.is_some()).count();
+    prop_assert_eq!(rf.reserved_cells(), reserved);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The held-set scoreboard answers exactly like a linear scan over
+    /// every cell, under random reserve / publish / writeback / move /
+    /// release sequences: register files of up to 150 cells (so held
+    /// sets span several 64-bit words), overlapping registers, registers
+    /// declared after reservations exist, and pool slots recycled under
+    /// a bumped generation — both after a release (the engine's
+    /// discipline) and with the old generation's reservations leaked, so
+    /// two generations of one slot hold cells side by side.
+    #[test]
+    fn held_sets_match_linear_scan_reference(
+        bank in 1usize..150,
+        overlaps in proptest::collection::vec((0usize..150, 0usize..150, 0usize..150), 0..4),
+        ops in proptest::collection::vec((0u8..9, 0usize..1024, 0usize..1024, any::<u32>()), 1..96),
+    ) {
+        let mut rf = RegisterFile::new();
+        let mut reference = RefBoard { cells: Vec::new(), writers: Vec::new(), regs: Vec::new() };
+        rf.add_bank("r", bank);
+        (0..bank).for_each(|_| reference.add_register());
+        for (a, b, c) in overlaps {
+            let over = [a % bank, b % bank, c % bank];
+            let ids: Vec<RegId> = over.iter().map(|&r| RegId::from_index(r)).collect();
+            rf.add_overlapping("ov", &ids);
+            reference.add_overlapping(&over);
+        }
+
+        let mut pool = TokenPool::<u32>::new();
+        // Every id ever allocated, live or not: stale ids stay valid
+        // scoreboard arguments (the file never consults the pool).
+        let mut ids: Vec<TokenId> = Vec::new();
+        let mut live: Vec<TokenId> = Vec::new();
+        for (kind, a, b, v) in ops {
+            let place = PlaceId::from_index(a % 70);
+            let mask = (u64::from(v) << 32 | u64::from(v)).rotate_left(a as u32);
+            let n_regs = reference.regs.len();
+            let token = if ids.is_empty() { None } else { Some(ids[b % ids.len()]) };
+            match (kind, token) {
+                (0, _) | (_, None) if live.len() < 6 => {
+                    let id = pool.alloc(TokenKind::Instruction, Some(0), place, 0, 0);
+                    ids.push(id);
+                    live.push(id);
+                }
+                (1, Some(t)) if reference.reservable_by(a % n_regs, t) => {
+                    rf.reserve_write(RegId::from_index(a % n_regs), t, place);
+                    reference.reserve_write(a % n_regs, t, place);
+                }
+                (2, Some(t)) => {
+                    rf.publish(RegId::from_index(a % n_regs), t, v);
+                    reference.publish(a % n_regs, t, v);
+                }
+                (3, Some(t)) => {
+                    rf.writeback(RegId::from_index(a % n_regs), t, v);
+                    reference.writeback(a % n_regs, t, v);
+                }
+                (4, Some(t)) => {
+                    rf.note_move(t, place);
+                    reference.note_move(t, place);
+                }
+                (5, Some(t)) => {
+                    prop_assert_eq!(rf.release(t), reference.release(t), "release {:?}", t);
+                }
+                // Free a live token's slot: kind 6 releases its cells
+                // first (the engine's discipline), kind 7 leaks them past
+                // the generation bump.
+                (6, _) | (7, _) if !live.is_empty() => {
+                    let t = live.swap_remove(b % live.len());
+                    if kind == 6 {
+                        prop_assert_eq!(rf.release(t), reference.release(t), "release {:?}", t);
+                    }
+                    pool.take(t);
+                }
+                (8, _) if n_regs < 200 => {
+                    rf.add_register("late");
+                    reference.add_register();
+                }
+                _ => {}
+            }
+            assert_boards_agree(&rf, &reference, place, mask)?;
+        }
+    }
 }
 
 proptest! {

@@ -24,8 +24,11 @@ use crate::semantics::*;
 /// escape-hatch closure; renaming one is a format-compatibility break for
 /// existing artifacts (old keys may be kept as aliases instead).
 pub mod keys {
-    /// Transition guard: the token's condition field fails against CPSR.
-    pub const COND_FAIL: &str = "arm.cond_fail";
+    /// Transition guard: a block transfer retires as a one-cycle bubble —
+    /// its condition fails or its register list is empty. It replaces
+    /// `arm.cond_fail` without an alias: the spec hash covers hook keys,
+    /// so caches never serve artifacts that name the old key.
+    pub const LDM_BUBBLE: &str = "arm.ldm_bubble";
     /// Transition guard: the next load/store-multiple micro-op is ready
     /// (uses the step's forwarding window).
     pub const LDM_UOP_READY: &str = "arm.ldm_uop_ready";
@@ -33,7 +36,8 @@ pub mod keys {
     /// issue latch (uses the forwarding window and the step's `from`
     /// place).
     pub const LDM_UOP_ISSUE: &str = "arm.ldm_uop_issue";
-    /// Action: retire a condition-failed block transfer as a bubble.
+    /// Action: retire a block transfer as a bubble (the bookkeeping half
+    /// of the [`LDM_BUBBLE`] alternative).
     pub const LDM_SKIP: &str = "arm.ldm_skip";
     /// Read-then hook: compute the block-transfer address range.
     pub const EXEC_BLOCK_ADDR: &str = "arm.exec_block_addr";
@@ -70,7 +74,7 @@ fn from_place(args: &HookArgs) -> rcpn::ids::PlaceId {
 /// step that references it.
 pub fn arm_hooks() -> HookRegistry<ArmTok, ArmRes> {
     let mut r = HookRegistry::new();
-    r.guard(keys::COND_FAIL, |_args| Box::new(|m, t| !cond_passes(m, t)));
+    r.guard(keys::LDM_BUBBLE, |_args| Box::new(ldm_bubble));
     r.guard(keys::LDM_UOP_READY, |args| {
         let fwd = args.fwd.clone();
         Box::new(move |m, t| ldm_uop_ready(m, t, &fwd))

@@ -240,6 +240,14 @@ pub fn exec_block_addr(m: &mut Machine<ArmRes>, t: &mut ArmTok, fx: &mut Fx<ArmT
     }
 }
 
+/// Guard of the block-transfer bubble: the whole transfer retires as a
+/// one-cycle bubble when its condition fails or its register list is
+/// empty. An empty list moves no data, and its written-back base equals
+/// the base (a zero-byte window), exactly as on the ISS.
+pub fn ldm_bubble(m: &Machine<ArmRes>, t: &ArmTok) -> bool {
+    t.dec.n_uops == 0 || !cond_passes(m, t)
+}
+
 /// The `k`-th register (by ascending number) in a block-transfer list.
 pub fn nth_reg(list: u16, k: u8) -> Reg {
     let mut seen = 0;

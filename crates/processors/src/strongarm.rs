@@ -81,10 +81,11 @@ pub fn spec() -> PipelineSpec<ArmTok, ArmRes> {
     s.class(ArmClass::LdStM.name())
         .step("D")
         .read_then_named(Forward::All, keys::EXEC_BLOCK_ADDR, exec_block_addr)
-        // Condition failed: the whole block transfer is a one-cycle bubble.
+        // Condition failed or empty register list: the whole block transfer
+        // is a one-cycle bubble.
         .alt("end")
         .priority(0)
-        .guard_named(keys::COND_FAIL, |m, t| !cond_passes(m, t))
+        .guard_named(keys::LDM_BUBBLE, ldm_bubble)
         .annuls()
         .act_named(keys::LDM_SKIP, |m, t, _fx| {
             clear_serialize(m, t);
@@ -259,13 +260,13 @@ pub(crate) mod legacy {
                     exec_block_addr(m, t, fx);
                 })
                 .done();
-            // Condition failed: the whole block transfer is a one-cycle
-            // bubble.
+            // Condition failed or empty register list: the whole block
+            // transfer is a one-cycle bubble.
             b.transition(c, "ldm_skip")
                 .from(p_d)
                 .to(end)
                 .priority(0)
-                .guard(|m, t| !cond_passes(m, t))
+                .guard(ldm_bubble)
                 .action(|m, t, fx| {
                     annul(m, t, fx);
                     m.res.instr_done += 1;

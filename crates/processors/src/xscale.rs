@@ -99,7 +99,7 @@ pub fn spec() -> PipelineSpec<ArmTok, ArmRes> {
         .read_then_named(Forward::All, keys::EXEC_BLOCK_ADDR, exec_block_addr)
         .alt("end")
         .priority(0)
-        .guard_named(keys::COND_FAIL, |m, t| !cond_passes(m, t))
+        .guard_named(keys::LDM_BUBBLE, ldm_bubble)
         .annuls()
         .act_named(keys::LDM_SKIP, |m, t, _fx| {
             clear_serialize(m, t);
@@ -321,7 +321,7 @@ pub(crate) mod legacy {
                 .from(p_rf)
                 .to(end)
                 .priority(0)
-                .guard(|m, t| !cond_passes(m, t))
+                .guard(ldm_bubble)
                 .action(|m, t, fx| {
                     annul(m, t, fx);
                     m.res.instr_done += 1;

@@ -191,6 +191,34 @@ fn block_transfers() {
     );
 }
 
+/// Block transfers with an empty register list, as raw words (the
+/// assembler rejects `{}`): `ldmia r0, {}`, `ldmia r0!, {}` right after a
+/// write to its base, and `stmdb sp!, {}`. The ISS moves no data and
+/// writes the base back unchanged (a zero-byte window); every model must
+/// retire each one as a one-cycle bubble with the same registers, exit
+/// and instruction count, instead of panicking on an empty list.
+#[test]
+fn empty_register_list_block_transfers() {
+    cosim(
+        "    mov r0, #7
+             ldr r2, =buf
+             .word 0xE8900000    ; ldmia r0, {}
+             mov r0, r2
+             .word 0xE8B00000    ; ldmia r0!, {}
+             sub r3, r0, r2      ; base unchanged: 0
+             mov r4, sp
+             .word 0xE92D0000    ; stmdb sp!, {}
+             sub r4, r4, sp      ; sp unchanged: 0
+             ldr r5, [r2]
+             mov r0, #7
+             add r0, r0, r3
+             add r0, r0, r4
+             add r0, r0, r5
+             swi #0
+        buf: .word 0",
+    );
+}
+
 #[test]
 fn push_pop_calls() {
     cosim(
