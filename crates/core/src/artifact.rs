@@ -1327,40 +1327,6 @@ fn decode_plan(
     let sb_classes = r.u32()? as usize;
     let chain_entry = r.u32s()?;
 
-    // Cross-table sanity: indices the hot loops trust blindly must be in
-    // range, so a forged-but-checksummed file cannot crash the engine.
-    for d in &dispatch {
-        let ok = match (d.guard, d.action) {
-            (GuardCode::Prog(i), _) if i as usize >= programs.len() => false,
-            (_, ActionCode::Prog(i)) if i as usize >= programs.len() => false,
-            _ => true,
-        };
-        if !ok {
-            return Err(r.corrupt("dispatch program index out of range"));
-        }
-    }
-    for b in &sb_blocks {
-        if b.tid as usize >= n_trans
-            || b.guard.1 as usize > sb_ops.len()
-            || b.action.1 as usize > sb_ops.len()
-            || b.guard.0 > b.guard.1
-            || b.action.0 > b.action.1
-            || (b.chain_next != u32::MAX && b.chain_next as usize >= sb_blocks.len())
-        {
-            return Err(r.corrupt("superblock range out of bounds"));
-        }
-    }
-    for &i in &sb_index {
-        if i != u32::MAX && i as usize >= sb_blocks.len() {
-            return Err(r.corrupt("sb_index entry out of range"));
-        }
-    }
-    for &i in &chain_entry {
-        if i != u32::MAX && i as usize >= sb_blocks.len() {
-            return Err(r.corrupt("chain_entry out of range"));
-        }
-    }
-
     Ok(ExecPlan {
         order,
         fixpoint,
@@ -1382,6 +1348,165 @@ fn decode_plan(
         sb_classes,
         chain_entry,
     })
+}
+
+/// Cross-table sanity of a decoded plan against its decoded model. The
+/// run loop indexes its tables without bounds checks it could report, and
+/// the payload checksum is unkeyed (anyone can reseal an edited file), so
+/// every table length and every index the loop dereferences is checked
+/// here: a forged-but-checksummed file is refused with a typed error
+/// instead of panicking the first engine instantiated from it.
+fn check_plan<D, R>(plan: &ExecPlan, model: &Model<D, R>) -> Result<(), String> {
+    let n_places = model.place_count();
+    let n_trans = model.transition_count();
+    let n_stages = model.stage_count();
+    let n_classes = model.op_class_count();
+    let len = |what: &str, found: usize, expected: usize| {
+        if found == expected {
+            Ok(())
+        } else {
+            Err(format!("{what} has {found} entries, the model needs {expected}"))
+        }
+    };
+    let index = |what: &str, i: u32, bound: usize| {
+        if (i as usize) < bound {
+            Ok(())
+        } else {
+            Err(format!("{what} {i} out of range (bound {bound})"))
+        }
+    };
+    len("hot", plan.hot.len(), n_trans)?;
+    len("dispatch", plan.dispatch.len(), n_trans)?;
+    len("hot_place", plan.hot_place.len(), n_places)?;
+    len("hot_source", plan.hot_source.len(), model.source_count())?;
+    len("stage table", plan.n_stages, n_stages)?;
+    len("dependents", plan.dependents.len(), n_places)?;
+    len("subnet_of_class", plan.subnet_of_class.len(), n_classes)?;
+    len("subnet_of_trans", plan.subnet_of_trans.len(), n_trans)?;
+    len("input_of_trans", plan.input_of_trans.len(), n_trans)?;
+    for &p in &plan.input_of_trans {
+        index("input_of_trans place", p, n_places)?;
+    }
+    for h in &plan.hot {
+        index("transition dest", h.dest, n_places)?;
+        index("transition dest_stage", h.dest_stage, n_stages)?;
+    }
+    for p in &plan.hot_place {
+        index("place stage", p.stage, n_stages)?;
+    }
+    for s in &plan.hot_source {
+        index("source dest", s.dest, n_places)?;
+    }
+
+    let spans = |flat: &[u32], span: &[(u32, u16)], rows: usize| {
+        if span.len() < rows {
+            return Err(format!("lookup has {} spans, the model needs {rows}", span.len()));
+        }
+        if span.iter().any(|&(start, n)| start as usize + usize::from(n) > flat.len()) {
+            return Err("lookup span out of range".to_string());
+        }
+        flat.iter().try_for_each(|&t| index("lookup transition", t, n_trans))
+    };
+    match &plan.lookup {
+        Lookup::PerPlaceClass { flat, span, n_classes: stride } => {
+            len("lookup class stride", *stride, n_classes)?;
+            spans(flat, span, n_places * stride)?;
+        }
+        Lookup::PerPlace { flat, span } => spans(flat, span, n_places)?,
+        Lookup::FullScan { order } => {
+            order.iter().try_for_each(|&t| index("lookup transition", t, n_trans))?;
+        }
+    }
+
+    // Dispatch codes must agree with the model's closures and flags, and
+    // program ops with the slot that runs them (the interpreters treat
+    // anything else as unreachable).
+    let program = |i: u32, guard: bool| -> Result<(), String> {
+        index("dispatch program", i, plan.programs.len())?;
+        for op in plan.programs[i as usize].ops() {
+            match *op {
+                MicroOp::CallHook(h) if guard => index("guard hook", h, model.hooks.guards.len())?,
+                MicroOp::CallHook(h) => index("action hook", h, model.hooks.actions.len())?,
+                MicroOp::ReserveRes { place, .. }
+                    if plan.res_places.binary_search(&place).is_err() =>
+                {
+                    return Err(format!("reservation into {place}, which is no expiry target"));
+                }
+                _ if guard && !op.is_guard_op() => {
+                    return Err(format!("{op:?} in a guard program"))
+                }
+                _ if !guard && !op.is_action_op() => {
+                    return Err(format!("{op:?} in an action program"))
+                }
+                _ => {}
+            }
+        }
+        Ok(())
+    };
+    for ((d, h), t) in plan.dispatch.iter().zip(&plan.hot).zip(&model.transitions) {
+        if h.has_guard != (d.guard != GuardCode::None) {
+            return Err(format!(
+                "transition {:?}: has_guard disagrees with its guard code",
+                t.name
+            ));
+        }
+        match d.guard {
+            GuardCode::Closure if !matches!(t.guard, Some(GuardKind::Closure(_))) => {
+                return Err(format!(
+                    "transition {:?}: closure guard code without a closure",
+                    t.name
+                ));
+            }
+            GuardCode::Prog(i) => program(i, true)?,
+            _ => {}
+        }
+        match d.action {
+            ActionCode::Closure if !matches!(t.action, Some(ActionKind::Closure(_))) => {
+                return Err(format!(
+                    "transition {:?}: closure action code without a closure",
+                    t.name
+                ));
+            }
+            ActionCode::Prog(i) => program(i, false)?,
+            _ => {}
+        }
+    }
+
+    for b in &plan.sb_blocks {
+        index("superblock transition", b.tid, n_trans)?;
+        index("superblock dest", b.dest, n_places)?;
+        index("superblock dest_stage", b.dest_stage, n_stages)?;
+        if b.guard.0 > b.guard.1
+            || b.action.0 > b.action.1
+            || b.guard.1 as usize > plan.sb_ops.len()
+            || b.action.1 as usize > plan.sb_ops.len()
+        {
+            return Err("superblock op range out of bounds".to_string());
+        }
+        let guard = &plan.sb_ops[b.guard.0 as usize..b.guard.1 as usize];
+        let action = &plan.sb_ops[b.action.0 as usize..b.action.1 as usize];
+        if !guard
+            .iter()
+            .all(|op| matches!(op, MicroOp::CheckReady { .. } | MicroOp::CheckCond { .. }))
+            || !action.iter().all(|op| op.is_superblock_op() && op.is_action_op())
+        {
+            return Err("superblock holds an op the fast path cannot run".to_string());
+        }
+        if b.chain_next != u32::MAX {
+            index("superblock chain link", b.chain_next, plan.sb_blocks.len())?;
+        }
+    }
+    for &i in &plan.sb_index {
+        if i != u32::MAX {
+            index("sb_index entry", i, plan.sb_blocks.len())?;
+        }
+    }
+    for &i in &plan.chain_entry {
+        if i != u32::MAX {
+            index("chain_entry", i, plan.sb_blocks.len())?;
+        }
+    }
+    Ok(())
 }
 
 impl<D: InstrData, R> CompiledModel<D, R> {
@@ -1634,6 +1759,8 @@ impl<D: InstrData, R> CompiledModel<D, R> {
             squash_handler,
             squash_name,
         };
+        check_plan(&plan, &model)
+            .map_err(|detail| ArtifactError::Corrupt { section: "plan", detail })?;
         Ok(CompiledModel { model: Arc::new(model), plan: Arc::new(plan), cfg })
     }
 
@@ -1830,6 +1957,103 @@ mod tests {
         for (e, needle) in cases {
             let msg = e.to_string();
             assert!(msg.contains(needle), "{msg:?} must contain {needle:?}");
+        }
+    }
+
+    #[derive(Debug)]
+    struct Tok(crate::ids::OpClassId);
+
+    impl InstrData for Tok {
+        fn op_class(&self) -> crate::ids::OpClassId {
+            self.0
+        }
+    }
+
+    fn feed() -> Option<Tok> {
+        Some(Tok(crate::ids::OpClassId::from_index(0)))
+    }
+
+    /// A two-latch spec pipeline, compiled with the default config.
+    fn two_latch() -> CompiledModel<Tok, ()> {
+        let mut s: crate::spec::PipelineSpec<Tok, ()> = crate::spec::PipelineSpec::new("forged");
+        s.stage("F", 1).latch("pf", "F").stage("X", 1).latch("px", "X");
+        s.class("A").step("px").step("end");
+        s.source("fetch").to("pf").produce_named("t.feed", |_m, _fx| feed());
+        CompiledModel::compile(s.lower().expect("spec lowers"))
+    }
+
+    fn registry() -> HookRegistry<Tok, ()> {
+        let mut r = HookRegistry::new();
+        r.source_action("t.feed", |_args| Box::new(|_m, _fx| feed()));
+        r
+    }
+
+    /// Edits the compiled plan, encodes it through the ordinary encoder
+    /// (so the checksum is valid) and decodes it again.
+    fn forge(edit: impl FnOnce(&mut ExecPlan)) -> Result<CompiledModel<Tok, ()>, ArtifactError> {
+        let CompiledModel { model, plan, cfg } = two_latch();
+        let mut plan = Arc::try_unwrap(plan).expect("freshly compiled plan has one owner");
+        edit(&mut plan);
+        let forged = CompiledModel { model, plan: Arc::new(plan), cfg };
+        let bytes = forged.to_artifact_bytes(7).expect("forged plan encodes");
+        CompiledModel::from_artifact_bytes(&bytes, Some(7), &registry())
+    }
+
+    /// A resealed artifact whose plan indexes past the model's tables
+    /// must be refused at decode time, not accepted and then panic the
+    /// engine built from it.
+    #[test]
+    fn forged_plan_indices_are_corrupt_not_a_panic() {
+        let clean = forge(|_| {}).expect("unedited plan decodes");
+        assert!(!clean.plan.sb_blocks.is_empty(), "the test net must form superblocks");
+        let mut e =
+            clean.instantiate(crate::model::Machine::new(crate::reg::RegisterFile::new(), ()));
+        e.run(20);
+        assert!(e.stats().retired > 0, "the unedited plan simulates");
+
+        type Edit = fn(&mut ExecPlan);
+        let cases: Vec<(&str, Edit)> = vec![
+            ("n_stages = 0", |p| p.n_stages = 0),
+            ("source dest", |p| p.hot_source[0].dest = 99),
+            ("transition dests", |p| p.hot.iter_mut().for_each(|h| h.dest = 99)),
+            ("transition dest_stage", |p| p.hot[0].dest_stage = 99),
+            ("superblock dests", |p| p.sb_blocks.iter_mut().for_each(|b| b.dest = 99)),
+            ("superblock dest_stage", |p| p.sb_blocks[0].dest_stage = 99),
+            ("place stage", |p| p.hot_place[0].stage = 99),
+            ("short hot", |p| {
+                p.hot.pop();
+            }),
+            ("short dispatch", |p| {
+                p.dispatch.pop();
+            }),
+            ("short hot_place", |p| {
+                p.hot_place.pop();
+            }),
+            ("no hot_source", |p| p.hot_source.clear()),
+            ("input_of_trans", |p| p.input_of_trans[0] = 99),
+            ("short subnet_of_class", |p| p.subnet_of_class.clear()),
+            ("short subnet_of_trans", |p| {
+                p.subnet_of_trans.pop();
+            }),
+            ("lookup span", |p| {
+                let Lookup::PerPlaceClass { span, .. } = &mut p.lookup else { unreachable!() };
+                span[0] = (u32::MAX, 1);
+            }),
+            ("lookup entry", |p| {
+                let Lookup::PerPlaceClass { flat, .. } = &mut p.lookup else { unreachable!() };
+                flat[0] = 99;
+            }),
+            ("sb_index entry", |p| p.sb_index[0] = p.sb_blocks.len() as u32),
+            ("closure guard code", |p| p.dispatch[0].guard = GuardCode::Closure),
+            ("has_guard flag", |p| p.hot[0].has_guard = !p.hot[0].has_guard),
+        ];
+        for (what, edit) in cases {
+            match forge(edit) {
+                Err(ArtifactError::Corrupt { section: "plan", .. }) => {}
+                other => {
+                    panic!("{what}: expected a plan Corrupt error, got {:?}", other.map(|_| ()))
+                }
+            }
         }
     }
 
