@@ -7,10 +7,8 @@
 //! IR interpreter (`ir`, with `fused` ready/acquire fires) and the
 //! closure hook path (`hook`), how many firings dispatched through a
 //! compiled superblock (`sblocks`, with `inlined` micro-ops interpreted
-//! on the fast path), and how many rode a cross-place chain cursor
-//! (`chains` parked, `links` fired) — the chains-off, per-op and
-//! closure-lowered StrongARM rows are the successively weaker dispatch
-//! references.
+//! on the fast path) — the per-op and closure-lowered StrongARM rows are
+//! the successively weaker dispatch references.
 //!
 //! ```text
 //! cargo run --release -p rcpn-bench --example sparsity
@@ -21,7 +19,7 @@ use workloads::{Kernel, Workload};
 
 fn main() {
     println!(
-        "{:<32}{:>10}{:>13}{:>11}{:>8}{:>12}{:>11}{:>11}{:>12}{:>12}{:>9}{:>9}{:>10}",
+        "{:<32}{:>10}{:>13}{:>11}{:>8}{:>12}{:>11}{:>11}{:>12}{:>12}{:>10}",
         "simulator/kernel",
         "cycles",
         "place_visits",
@@ -32,8 +30,6 @@ fn main() {
         "fused",
         "sblocks",
         "inlined",
-        "chains",
-        "links",
         "trans"
     );
     for sim in [
@@ -42,7 +38,6 @@ fn main() {
         Simulator::RcpnStrongArmExhaustive,
         Simulator::RcpnStrongArmClosure,
         Simulator::RcpnStrongArmPerOp,
-        Simulator::RcpnStrongArmChainsOff,
     ] {
         let compiled = compiled_sim(sim).expect("RCPN simulator");
         for kernel in Kernel::ALL {
@@ -66,21 +61,8 @@ fn main() {
                 assert!(sc.superblocks_entered > 0, "IR row must dispatch superblocks");
                 assert!(sc.ops_inlined > 0, "superblock firings must interpret inline ops");
             }
-            if matches!(
-                sim,
-                Simulator::RcpnStrongArmClosure
-                    | Simulator::RcpnStrongArmPerOp
-                    | Simulator::RcpnStrongArmChainsOff
-            ) {
-                assert_eq!(sc.chains_entered, 0, "oracle row must not park chain cursors");
-                assert_eq!(sc.chain_links_fired, 0);
-            } else {
-                // Chain formation is likewise scheduler-independent.
-                assert!(sc.chains_entered > 0, "default row must park chain cursors");
-                assert!(sc.chain_links_fired > 0, "default row must fire chain links");
-            }
             println!(
-                "{:<32}{:>10}{:>13}{:>11}{:>7.1}%{:>12}{:>11}{:>11}{:>12}{:>12}{:>9}{:>9}{:>10}",
+                "{:<32}{:>10}{:>13}{:>11}{:>7.1}%{:>12}{:>11}{:>11}{:>12}{:>12}{:>10}",
                 format!("{}/{}", sim.name(), kernel.name()),
                 r.cycles,
                 sc.place_visits,
@@ -91,8 +73,6 @@ fn main() {
                 sc.actions_fused,
                 sc.superblocks_entered,
                 sc.ops_inlined,
-                sc.chains_entered,
-                sc.chain_links_fired,
                 sc.trans_visits,
             );
         }

@@ -39,7 +39,10 @@
 //! Exit codes: 0 ok, 1 regression, 2 usage/IO/coverage error. Benches
 //! missing from the baseline are reported un-gated, but if more than half
 //! of the measured rows have no baseline entry the gate refuses to pass
-//! (exit 2) — a silently shrunken gate is worse than a failing one. The
+//! (exit 2) — a silently shrunken gate is worse than a failing one. A
+//! baseline fig10 row the matrix no longer measures is refused the same
+//! way, before anything is measured: left in place it would sit in the
+//! record forever, looking gated while gating nothing. The
 //! record format written here must stay parseable by [`baseline_cps`];
 //! the same format is produced by the vendored criterion shim's
 //! `CRITERION_JSON` writer (`vendor/criterion/src/lib.rs`), which is what
@@ -48,13 +51,11 @@
 use rcpn_bench::{compiled_sim, measure, measure_compiled, Measurement, Simulator};
 use workloads::{Kernel, Workload};
 
-/// The fig10 dispatch-ablation rows (chained-superblock default vs
-/// chains-off vs per-op vs closure interpreters). These measure the
-/// dispatch refactors, so — unlike ordinary rows, which degrade to "not
-/// gated" when missing from the baseline — losing *their* baseline
-/// coverage is a hard error.
-const DISPATCH_ORACLES: [&str; 3] =
-    ["RCPN-StrongArm-Closure/", "RCPN-StrongArm-PerOp/", "RCPN-StrongArm-ChainsOff/"];
+/// The fig10 dispatch-ablation rows (superblock default vs per-op vs
+/// closure interpreters). These measure the dispatch refactors, so —
+/// unlike ordinary rows, which degrade to "not gated" when missing from
+/// the baseline — losing *their* baseline coverage is a hard error.
+const DISPATCH_ORACLES: [&str; 2] = ["RCPN-StrongArm-Closure/", "RCPN-StrongArm-PerOp/"];
 
 /// One measured (simulator, kernel) pair.
 struct Row {
@@ -125,6 +126,22 @@ fn main() {
         eprintln!("cannot read baseline {baseline_path}: {e}");
         std::process::exit(2);
     });
+
+    let matrix: Vec<String> = Kernel::ALL
+        .into_iter()
+        .flat_map(|k| Simulator::FIG10.into_iter().map(move |sim| bench_name(sim, k)))
+        .collect();
+    let stale: Vec<&str> =
+        baseline_benches(&baseline).filter(|b| !matrix.iter().any(|m| m == b)).collect();
+    if !stale.is_empty() {
+        eprintln!(
+            "{} fig10 row(s) in {baseline_path} are not in the fig10 matrix: {} — delete them \
+             from the baseline; refusing to pass",
+            stale.len(),
+            stale.join(", ")
+        );
+        std::process::exit(2);
+    }
 
     let rows = run_matrix(scale_div, samples);
 
@@ -250,8 +267,6 @@ fn main() {
 /// trees. Best-effort: a failure to append warns but never fails the
 /// gate.
 fn append_history(path: &str, rows: &[Row]) {
-    let dispatch =
-        if rcpn::engine::EngineConfig::default().chains { "chains" } else { "superblocks" };
     let prefix = format!("{}/", Simulator::RcpnStrongArm.name());
     let per: Vec<String> = rows
         .iter()
@@ -263,7 +278,7 @@ fn append_history(path: &str, rows: &[Row]) {
         .unwrap_or(0);
     let (y, m, d) = civil_date(secs);
     let line = format!(
-        "{{\"date\":\"{y:04}-{m:02}-{d:02}\",\"dispatch\":\"{dispatch}\",\
+        "{{\"date\":\"{y:04}-{m:02}-{d:02}\",\"dispatch\":\"superblocks\",\
          \"per_sec_best\":{{{}}}}}\n",
         per.join(",")
     );
@@ -324,7 +339,7 @@ fn run_matrix(scale_div: usize, samples: usize) -> Vec<Row> {
             let best = best.expect("samples >= 1");
             let min_ns = (best.seconds * 1e9) as u128;
             rows.push(Row {
-                bench: format!("{}/{}", sim.name(), kernel.name()),
+                bench: bench_name(sim, kernel),
                 cycles: best.cycles,
                 mean_ns: total_ns / samples as u128,
                 min_ns,
@@ -334,6 +349,20 @@ fn run_matrix(scale_div: usize, samples: usize) -> Vec<Row> {
         }
     }
     rows
+}
+
+/// The record name of one fig10 (simulator, kernel) pair.
+fn bench_name(sim: Simulator, kernel: Kernel) -> String {
+    format!("{}/{}", sim.name(), kernel.name())
+}
+
+/// The `"bench"` name of every fig10 row in a baseline record.
+fn baseline_benches(baseline: &str) -> impl Iterator<Item = &str> {
+    baseline.lines().filter(|l| l.contains("\"group\":\"fig10\"")).filter_map(|l| {
+        let key = "\"bench\":\"";
+        let rest = &l[l.find(key)? + key.len()..];
+        Some(&rest[..rest.find('"')?])
+    })
 }
 
 /// Extracts the cycles/sec rate for `bench` from the baseline's JSON

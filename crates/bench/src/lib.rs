@@ -81,11 +81,6 @@ pub enum Simulator {
     /// default (superblock) engine so the superblock win is a measured
     /// number, kernel by kernel.
     RcpnStrongArmPerOp,
-    /// RCPN-generated StrongARM compiled with [`EngineConfig::chains`]
-    /// off — superblock dispatch but no cross-place chain cursors,
-    /// recorded alongside the default (chained) engine so the chain win
-    /// is a measured number, kernel by kernel.
-    RcpnStrongArmChainsOff,
     /// The functional ISS (no timing; context number).
     FunctionalIss,
 }
@@ -98,7 +93,7 @@ impl Simulator {
     /// single source of truth for which rows exist in `BENCH_fig10.json`
     /// — extending it extends all three in lockstep (and the
     /// registry-guard test fails if a `ProcModel` is missing here).
-    pub const FIG10: [Simulator; 8] = [
+    pub const FIG10: [Simulator; 7] = [
         Simulator::Baseline,
         Simulator::RcpnXScale,
         Simulator::RcpnStrongArm,
@@ -106,7 +101,6 @@ impl Simulator {
         Simulator::RcpnStrongArmExhaustive,
         Simulator::RcpnStrongArmClosure,
         Simulator::RcpnStrongArmPerOp,
-        Simulator::RcpnStrongArmChainsOff,
     ];
 
     /// For RCPN-backed simulators: the processor-registry model plus the
@@ -120,9 +114,7 @@ impl Simulator {
             Simulator::RcpnStrongArmExhaustive => {
                 Some((ProcModel::StrongArm, SchedulerMode::Exhaustive))
             }
-            Simulator::RcpnStrongArmClosure
-            | Simulator::RcpnStrongArmPerOp
-            | Simulator::RcpnStrongArmChainsOff => {
+            Simulator::RcpnStrongArmClosure | Simulator::RcpnStrongArmPerOp => {
                 Some((ProcModel::StrongArm, SchedulerMode::ActivityDriven))
             }
             Simulator::Baseline | Simulator::FunctionalIss => None,
@@ -136,7 +128,6 @@ impl Simulator {
             Simulator::RcpnStrongArmExhaustive => "RCPN-StrongArm-Exhaustive",
             Simulator::RcpnStrongArmClosure => "RCPN-StrongArm-Closure",
             Simulator::RcpnStrongArmPerOp => "RCPN-StrongArm-PerOp",
-            Simulator::RcpnStrongArmChainsOff => "RCPN-StrongArm-ChainsOff",
             Simulator::FunctionalIss => "Functional-ISS",
             rcpn => rcpn.rcpn_config().expect("RCPN simulator").0.figure_name(),
         }
@@ -186,15 +177,9 @@ fn rcpn_sim_config(sim: Simulator) -> Option<(ProcModel, SimConfig)> {
         // would otherwise still form guardless blocks).
         config.lowering = rcpn::spec::Lowering::Closures;
         config.engine.superblocks = false;
-        config.engine.chains = false;
     }
     if sim == Simulator::RcpnStrongArmPerOp {
-        // Chains link superblocks, so the per-op row turns both off.
         config.engine.superblocks = false;
-        config.engine.chains = false;
-    }
-    if sim == Simulator::RcpnStrongArmChainsOff {
-        config.engine.chains = false;
     }
     Some((proc, config))
 }
@@ -272,12 +257,7 @@ pub fn ablation_configs() -> Vec<(&'static str, EngineConfig, bool)> {
             EngineConfig { scheduler: SchedulerMode::Exhaustive, ..Default::default() },
             true,
         ),
-        (
-            "dispatch:per-op",
-            EngineConfig { superblocks: false, chains: false, ..Default::default() },
-            true,
-        ),
-        ("dispatch:chains-off", EngineConfig { chains: false, ..Default::default() }, true),
+        ("dispatch:per-op", EngineConfig { superblocks: false, ..Default::default() }, true),
         ("no-decode-cache", EngineConfig::default(), false),
     ]
 }

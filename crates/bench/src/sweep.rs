@@ -112,18 +112,13 @@ pub fn engine_axis() -> Vec<EngineVariant> {
         proc: ProcModel::StrongArm,
         // The pre-IR engine wholesale: no superblocks either (pass-through
         // steps would otherwise still form guardless blocks).
-        engine: EngineConfig { superblocks: false, chains: false, ..Default::default() },
+        engine: EngineConfig { superblocks: false, ..Default::default() },
         lowering: Lowering::Closures,
     });
     axis.push(EngineVariant::new(
         ProcModel::StrongArm,
         "dispatch:per-op",
-        EngineConfig { superblocks: false, chains: false, ..Default::default() },
-    ));
-    axis.push(EngineVariant::new(
-        ProcModel::StrongArm,
-        "dispatch:chains-off",
-        EngineConfig { chains: false, ..Default::default() },
+        EngineConfig { superblocks: false, ..Default::default() },
     ));
     axis
 }
@@ -573,32 +568,6 @@ mod tests {
         assert!(sb.sched.ops_inlined > 0);
         assert_eq!(po.sched.superblocks_entered, 0, "per-op row must not form superblocks");
         assert_eq!(po.sched.ops_inlined, 0);
-    }
-
-    /// The chain axis is a speed knob only: the chains-off row simulates
-    /// identically to the chained (default) row, with the counters
-    /// proving which dispatch each one ran.
-    #[test]
-    fn dispatch_chains_off_row_is_identical_with_zero_chain_activity() {
-        let variants = vec![
-            EngineVariant::new(ProcModel::StrongArm, "tables:per-place-class", Default::default()),
-            EngineVariant::new(
-                ProcModel::StrongArm,
-                "dispatch:chains-off",
-                EngineConfig { chains: false, ..Default::default() },
-            ),
-        ];
-        let s = Sweep::with(variants, Workload::matrix(&[Kernel::Crc], &[0.0]));
-        let run = s.run(&BatchRunner::new(1));
-        let (ch, off) = (&run.rows[0], &run.rows[1]);
-        assert_eq!(ch.cycles, off.cycles, "chains must never change simulated timing");
-        assert_eq!(ch.stats, off.stats);
-        assert_eq!(ch.sched.dispatch_normalized(), off.sched.dispatch_normalized());
-        assert!(ch.sched.chains_entered > 0, "default row must park chain cursors");
-        assert!(ch.sched.chain_links_fired > 0, "default row must fire chain links");
-        assert!(off.sched.superblocks_entered > 0, "chains-off keeps superblock dispatch");
-        assert_eq!(off.sched.chains_entered, 0, "chains-off row must not form chains");
-        assert_eq!(off.sched.chain_links_fired, 0);
     }
 
     #[test]

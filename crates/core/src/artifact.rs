@@ -57,7 +57,7 @@ use crate::token::InstrData;
 /// Version of the on-disk encoding. Bump on **any** change to the byte
 /// layout — the golden-fixture test pins the current bytes and fails when
 /// they drift under an unchanged version.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// The four magic bytes every artifact starts with.
 pub const MAGIC: [u8; 4] = *b"RCPN";
@@ -734,7 +734,6 @@ fn encode_config(w: &mut Writer, cfg: &EngineConfig) {
     w.bool(cfg.collect_occupancy);
     w.bool(cfg.trace);
     w.bool(cfg.superblocks);
-    w.bool(cfg.chains);
 }
 
 fn config_bytes(cfg: &EngineConfig) -> Vec<u8> {
@@ -1016,15 +1015,12 @@ fn encode_plan(w: &mut Writer, plan: &ExecPlan) -> Result<(), ArtifactError> {
             w.u32(b.cap);
             w.u64(b.base_ready);
             w.u64(b.tdelay);
-            w.u32(b.class);
-            w.u32(b.chain_next);
         }
         w.len32(plan.sb_ops.len());
         for op in &plan.sb_ops {
             w.micro_op(op);
         }
         w.len32(plan.sb_classes);
-        w.u32s(&plan.chain_entry);
         Ok(())
     })
 }
@@ -1099,7 +1095,6 @@ fn decode_config(r: &mut Reader<'_>) -> Result<EngineConfig, ArtifactError> {
         collect_occupancy: r.bool()?,
         trace: r.bool()?,
         superblocks: r.bool()?,
-        chains: r.bool()?,
     })
 }
 
@@ -1317,15 +1312,12 @@ fn decode_plan(
                 cap: r.u32()?,
                 base_ready: r.u64()?,
                 tdelay: r.u64()?,
-                class: r.u32()?,
-                chain_next: r.u32()?,
             })
         })
         .collect::<Result<Vec<_>, ArtifactError>>()?;
     let n = r.count()?;
     let sb_ops = (0..n).map(|_| r.micro_op(n_places)).collect::<Result<Vec<_>, _>>()?;
     let sb_classes = r.u32()? as usize;
-    let chain_entry = r.u32s()?;
 
     Ok(ExecPlan {
         order,
@@ -1346,7 +1338,6 @@ fn decode_plan(
         sb_blocks,
         sb_ops,
         sb_classes,
-        chain_entry,
     })
 }
 
@@ -1492,18 +1483,10 @@ fn check_plan<D, R>(plan: &ExecPlan, model: &Model<D, R>) -> Result<(), String> 
         {
             return Err("superblock holds an op the fast path cannot run".to_string());
         }
-        if b.chain_next != u32::MAX {
-            index("superblock chain link", b.chain_next, plan.sb_blocks.len())?;
-        }
     }
     for &i in &plan.sb_index {
         if i != u32::MAX {
             index("sb_index entry", i, plan.sb_blocks.len())?;
-        }
-    }
-    for &i in &plan.chain_entry {
-        if i != u32::MAX {
-            index("chain_entry", i, plan.sb_blocks.len())?;
         }
     }
     Ok(())

@@ -129,7 +129,7 @@ pub(crate) struct HotSource {
 ///   machinery, which the fast path deliberately never materializes).
 ///
 /// The op ranges point into the plan's flattened `sb_ops` stream, laid
-/// out contiguously per class chain so a token walking its path streams
+/// out contiguously per class, so a token walking its path streams
 /// through memory.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SbBlock {
@@ -147,15 +147,6 @@ pub(crate) struct SbBlock {
     pub(crate) cap: u32,
     pub(crate) base_ready: u64,
     pub(crate) tdelay: u64,
-    /// Operation class this block dispatches (the `ci` of its
-    /// `(place, class)` pair); chain cursors validate a parked token's
-    /// class against it before trusting the pre-resolved successor.
-    pub(crate) class: u32,
-    /// Cross-place chain link: index of the successor superblock at
-    /// `(dest, class)` when the link is fusion-legal (see the chain
-    /// formation pass), else `u32::MAX`. Firing a block with a link
-    /// parks a dispatch cursor on the destination place.
-    pub(crate) chain_next: u32,
 }
 
 /// The candidate-transition lookup structure; exactly one variant is
@@ -220,14 +211,6 @@ pub(crate) struct ExecPlan {
     pub(crate) sb_ops: Vec<MicroOp>,
     /// Class count the `sb_index` rows are strided by.
     pub(crate) sb_classes: usize,
-    /// (place, class) → index into `sb_blocks` of the superblock a chain
-    /// cursor may be parked for when *any* firing moves a token there —
-    /// the head of a chain (`u32::MAX` = not entry-legal). A filtered
-    /// view of `sb_index`: entries exist only for ordinary single-list
-    /// places that are no transition's join input and never hold
-    /// reservation tokens. Empty when chain dispatch is disabled
-    /// ([`EngineConfig::chains`]).
-    pub(crate) chain_entry: Vec<u32>,
 }
 
 impl ExecPlan {
@@ -236,13 +219,6 @@ impl ExecPlan {
     pub(crate) fn sb_lookup(&self, place: usize, class: usize) -> Option<&SbBlock> {
         let idx = *self.sb_index.get(place * self.sb_classes + class)?;
         self.sb_blocks.get(idx as usize)
-    }
-
-    /// The superblock index a chain cursor may be parked for when a
-    /// firing moves a token into `(place, class)`, or `u32::MAX`.
-    #[inline]
-    pub(crate) fn chain_entry_at(&self, place: usize, class: usize) -> u32 {
-        *self.chain_entry.get(place * self.sb_classes + class).unwrap_or(&u32::MAX)
     }
 }
 
@@ -403,7 +379,7 @@ impl ExecPlan {
         // candidate list holds exactly one transition that is pure data
         // (see [`SbBlock`] for the admission rules), pre-resolve the
         // whole try-fire into a block over a flattened op stream. The
-        // class-outer iteration lays each class's chain out contiguously.
+        // class-outer iteration lays each class's path out contiguously.
         let n_classes = model.analysis.n_classes;
         let mut sb_index = Vec::new();
         let mut sb_blocks: Vec<SbBlock> = Vec::new();
@@ -458,89 +434,7 @@ impl ExecPlan {
                         cap: h.cap,
                         base_ready: h.base_ready,
                         tdelay: h.tdelay,
-                        class: ci as u32,
-                        chain_next: u32::MAX,
                     });
-                }
-            }
-        }
-
-        // Chain formation (see `DESIGN.md` §2f). Two static tables decide
-        // where the engine may park a chain cursor — a pre-resolved
-        // next-cycle dispatch for a token just moved into a place:
-        //
-        // `chain_entry[(place, class)]`: the place can be the *head* of a
-        // chain — any firing that moves a token there (a hooked generic
-        // transition entering the chain from outside, or a superblock)
-        // may park a cursor for the place's own superblock. Entry-legal
-        // iff the `(place, class)` superblock exists (single hook-free
-        // candidate by admission) and the place is an ordinary
-        // single-list latch: not two-list (latch commits defer arrival),
-        // no transition's extra (join) input (the token could be consumed
-        // from another place's dispatch), and not a reservation target
-        // (`res_places` — no reservation token can ever share it).
-        //
-        // `SbBlock::chain_next`: the superblock *links* to its
-        // destination's block, making the destination an intermediate
-        // place of a fused multi-dispatch walk. On top of entry legality
-        // this demands that no other transition's guard reads the
-        // destination's state (`reads_states`, the feedback references
-        // the analysis tracks — fusing across an observed place is where
-        // interference could hide), and that the block's effective token
-        // delay is a static 0 or 1 cycle (`base_ready`, or `tdelay + d`
-        // under a constant `SetDelay`) so the token is provably ready at
-        // its very next sweep slot and the cursor can be armed for
-        // `cycle + 1` unconditionally.
-        //
-        // The cursor re-proves the dynamic half at dispatch time (sole
-        // residency, token identity, class, readiness) and falls back to
-        // the generic scan otherwise, so these rules only decide *where*
-        // cursors may be parked, never what fires.
-        let mut chain_entry = Vec::new();
-        if cfg.chains && !sb_blocks.is_empty() {
-            let mut joined = vec![false; n_places];
-            let mut guard_read = vec![false; n_places];
-            for t in &model.transitions {
-                for x in &t.extra_inputs {
-                    joined[x.index()] = true;
-                }
-                for s in &t.reads_states {
-                    guard_read[s.index()] = true;
-                }
-            }
-            chain_entry = vec![u32::MAX; n_places * n_classes];
-            for pi in 0..n_places {
-                if two_list[pi]
-                    || joined[pi]
-                    || res_places.binary_search(&PlaceId::from_index(pi)).is_ok()
-                {
-                    continue;
-                }
-                let row = pi * n_classes;
-                chain_entry[row..row + n_classes].copy_from_slice(&sb_index[row..row + n_classes]);
-            }
-            let eff_delay = |b: &SbBlock| {
-                let ops = &sb_ops[b.action.0 as usize..b.action.1 as usize];
-                ops.iter()
-                    .rev()
-                    .find_map(|op| match op {
-                        MicroOp::SetDelay(d) => Some(b.tdelay + u64::from(*d)),
-                        _ => None,
-                    })
-                    .unwrap_or(b.base_ready)
-            };
-            for blk in &mut sb_blocks {
-                let b = *blk;
-                if b.dest_is_end || eff_delay(&b) > 1 {
-                    continue;
-                }
-                let di = b.dest as usize;
-                if guard_read[di] {
-                    continue;
-                }
-                let nxt = chain_entry[di * n_classes + b.class as usize];
-                if nxt != u32::MAX {
-                    blk.chain_next = nxt;
                 }
             }
         }
@@ -602,7 +496,6 @@ impl ExecPlan {
             sb_blocks,
             sb_ops,
             sb_classes: n_classes,
-            chain_entry,
         }
     }
 }
@@ -727,22 +620,6 @@ impl<D: InstrData, R> CompiledModel<D, R> {
     /// when compiled with [`EngineConfig::superblocks`] off.
     pub fn superblocks(&self) -> usize {
         self.plan.sb_blocks.len()
-    }
-
-    /// Number of fusion-legal chain links: superblocks whose destination
-    /// carries a pre-resolved successor block, so firing them parks a
-    /// chain dispatch cursor. Zero when compiled with
-    /// [`EngineConfig::chains`] off.
-    pub fn chain_links(&self) -> usize {
-        self.plan.sb_blocks.iter().filter(|b| b.chain_next != u32::MAX).count()
-    }
-
-    /// Number of chain entry points: (place, class) pairs where any
-    /// firing that moves a token in may park a chain cursor for the
-    /// place's superblock — where a chain can begin. Zero when compiled
-    /// with [`EngineConfig::chains`] off.
-    pub fn chains(&self) -> usize {
-        self.plan.chain_entry.iter().filter(|&&e| e != u32::MAX).count()
     }
 
     /// Creates an independent engine over fresh mutable state (token pool,

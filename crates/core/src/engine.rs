@@ -141,18 +141,6 @@ pub struct EngineConfig {
     /// path. Simulation results are bit-identical either way; only
     /// [`SchedStats`] dispatch counters and host speed differ.
     pub superblocks: bool,
-    /// Compile cross-place chains (compile-time choice, implies
-    /// `superblocks`): superblocks whose destination is the head of a
-    /// fusion-legal successor block (see `DESIGN.md` §2f) carry a
-    /// pre-resolved link, and the engine parks a dispatch cursor on the
-    /// destination place when such a link fires — the next sweep slot
-    /// dispatches the successor directly instead of re-deriving it
-    /// through the token scan and superblock lookup. `false` keeps the
-    /// plain superblock dispatch everywhere — the differential oracle
-    /// for the chain path. Simulation results are bit-identical either
-    /// way; only the chain [`SchedStats`] counters and host speed
-    /// differ.
-    pub chains: bool,
 }
 
 impl Default for EngineConfig {
@@ -164,7 +152,6 @@ impl Default for EngineConfig {
             collect_occupancy: false,
             trace: false,
             superblocks: true,
-            chains: true,
         }
     }
 }
@@ -208,32 +195,6 @@ pub enum TraceEvent {
         /// Sequence number of the squashed token.
         seq: u64,
     },
-}
-
-/// A parked chain dispatch cursor: when a superblock with a chain link
-/// fires, the engine records on the destination place which successor
-/// block the moved token will dispatch through at its next sweep slot.
-/// The slot validates the park (sole residency, token identity, class,
-/// readiness) before trusting it; anything else — extra arrivals,
-/// flushes, token-id reuse — fails the validation and falls back to the
-/// generic place scan, so a park is only ever a memoized shortcut to the
-/// dispatch the scan would have derived.
-#[derive(Debug, Clone, Copy)]
-struct ChainPark {
-    /// Successor superblock index, `u32::MAX` when the slot is empty.
-    sb: u32,
-    /// The parked token.
-    token: TokenId,
-    /// Operation class the successor block dispatches.
-    class: u32,
-    /// The one cycle at which the cursor is armed; any other cycle means
-    /// the park is stale.
-    fire_at: u64,
-}
-
-impl ChainPark {
-    const EMPTY: ChainPark =
-        ChainPark { sb: u32::MAX, token: TokenId { slot: u32::MAX, gen: 0 }, class: 0, fire_at: 0 };
 }
 
 /// Why [`Engine::run`] returned.
@@ -285,9 +246,6 @@ struct EngineState<D: InstrData, R> {
     /// Two-list places with tokens written this cycle (the latch-commit
     /// worklist; may hold stale/duplicate entries, resolved at commit).
     pending_dirty: Vec<u32>,
-    /// Per-place chain dispatch cursors (see [`ChainPark`]); all-empty
-    /// when the plan was compiled without chain links.
-    park: Vec<ChainPark>,
     cfg: EngineConfig,
     stats: Stats,
     sched: SchedStats,
@@ -336,7 +294,6 @@ impl<D: InstrData, R> Engine<D, R> {
                 wake: vec![u64::MAX; n_places],
                 res_wake: vec![u64::MAX; n_places],
                 pending_dirty: Vec::new(),
-                park: vec![ChainPark::EMPTY; n_places],
                 cfg,
                 stats,
                 sched: SchedStats::default(),
@@ -569,7 +526,7 @@ impl<D: InstrData, R> EngineState<D, R> {
                                 continue;
                             }
                         }
-                        if self.dispatch_place(model, plan, p) {
+                        if self.process_place(model, plan, p) {
                             any = true;
                         }
                         if self.halted {
@@ -592,7 +549,7 @@ impl<D: InstrData, R> EngineState<D, R> {
                             continue;
                         }
                     }
-                    self.dispatch_place(model, plan, p);
+                    self.process_place(model, plan, p);
                     if self.halted {
                         break;
                     }
@@ -623,76 +580,6 @@ impl<D: InstrData, R> EngineState<D, R> {
         self.sched.place_skips += 1;
         self.sched.token_visits_skipped += self.live[pi].len() as u64;
         self.sched.trans_visits_skipped += u64::from(plan.hot_place[pi].n_dependents);
-    }
-
-    /// Dispatches one place slot: the chain cursor fast path when a
-    /// parked chain token provably *is* the entire work the generic scan
-    /// would derive for this place this cycle, the generic
-    /// [`EngineState::process_place`] otherwise.
-    ///
-    /// The park is trusted only when the place holds exactly the parked
-    /// token, still live (the generation-counted [`TokenId`] rules out
-    /// pool-slot reuse), an instruction of the chain's class, resident
-    /// here and ready now, at exactly the armed cycle. Under those checks
-    /// the generic scan would visit one token and dispatch the very
-    /// superblock the cursor pre-resolved, so the cursor firing it
-    /// directly is observation-equivalent; everything the shortcut elides
-    /// is host-side lookup work plus the per-visit [`SchedStats`]
-    /// accounting that [`SchedStats::dispatch_normalized`] folds back.
-    fn dispatch_place(&mut self, model: &Model<D, R>, plan: &ExecPlan, p: PlaceId) -> bool {
-        let pi = p.index();
-        let park = self.park[pi];
-        if park.sb != u32::MAX
-            && park.fire_at == self.cycle
-            && self.live[pi].len() == 1
-            && self.live[pi][0] == park.token
-        {
-            if let Some(tok) = self.pool.get(park.token) {
-                if tok.place == p
-                    && tok.kind == TokenKind::Instruction
-                    && tok.ready_at <= self.cycle
-                    && tok.data.as_ref().expect("instruction token has data").op_class().index()
-                        == park.class as usize
-                {
-                    let sb = plan.sb_blocks[park.sb as usize];
-                    return self.fire_chain_link(plan, &sb, park.token, p);
-                }
-            }
-        }
-        self.process_place(model, plan, p)
-    }
-
-    /// Dispatches one validated chain link through its parked cursor.
-    /// A fired link counts `chain_links_fired` and elides the generic
-    /// scan's per-visit accounting; a blocked link replays that
-    /// accounting verbatim (visit, candidate, stall, wake re-arm) and
-    /// re-arms the cursor for the next cycle, so chains never change
-    /// admissible behavior — only how an admissible dispatch is reached.
-    fn fire_chain_link(
-        &mut self,
-        plan: &ExecPlan,
-        sb: &SbBlock,
-        token: TokenId,
-        place: PlaceId,
-    ) -> bool {
-        let pi = place.index();
-        if self.try_fire_superblock(plan, sb, token, place, true) {
-            self.sched.chain_links_fired += 1;
-            self.wake[pi] = u64::MAX;
-            true
-        } else {
-            // Bit-identical fallback: the counters and wake bound the
-            // generic single-token place scan would have produced for
-            // this blocked dispatch.
-            self.sched.place_visits += 1;
-            self.sched.token_visits += 1;
-            self.sched.trans_visits += 1;
-            self.stats.stalls += 1;
-            self.stats.place_stalls[pi] += 1;
-            self.wake[pi] = self.cycle + 1;
-            self.park[pi].fire_at = self.cycle + 1;
-            false
-        }
     }
 
     /// Figure 7: processes the instruction tokens of one place. Returns
@@ -731,7 +618,7 @@ impl<D: InstrData, R> EngineState<D, R> {
                 // Direct-threaded fast path: the (place, class) pair was
                 // pre-resolved to its single pure-data transition at
                 // compile time; no candidate walk needed.
-                if self.try_fire_superblock(plan, sb, id, p, false) {
+                if self.try_fire_superblock(plan, sb, id, p) {
                     fired_any = true;
                 } else {
                     self.stats.stalls += 1;
@@ -876,14 +763,6 @@ impl<D: InstrData, R> EngineState<D, R> {
     /// bit-identical to [`EngineState::try_fire`] on the same transition;
     /// only the two superblock [`SchedStats`] counters and host work
     /// differ.
-    ///
-    /// `via_chain` marks a dispatch reached through a parked chain
-    /// cursor rather than the generic place scan: the visit-shaped
-    /// counters (`trans_visits`, `superblocks_entered`) are skipped —
-    /// they belong to the scan the cursor elided and are folded back by
-    /// [`SchedStats::dispatch_normalized`] via `chain_links_fired` —
-    /// while the work-shaped counters (guard evals, fused actions, ops
-    /// inlined) still accrue because the work itself still happens.
     #[inline]
     fn try_fire_superblock(
         &mut self,
@@ -891,11 +770,8 @@ impl<D: InstrData, R> EngineState<D, R> {
         sb: &SbBlock,
         token: TokenId,
         place: PlaceId,
-        via_chain: bool,
     ) -> bool {
-        if !via_chain {
-            self.sched.trans_visits += 1;
-        }
+        self.sched.trans_visits += 1;
         if !sb.cap_exempt && self.stage_occ[sb.dest_stage as usize] >= sb.cap {
             self.stats.capacity_blocks += 1;
             return false;
@@ -935,9 +811,7 @@ impl<D: InstrData, R> EngineState<D, R> {
         self.remove_from_place(plan, place.index(), token, TokenKind::Instruction);
         let (a0, a1) = sb.action;
         let action_ops = &plan.sb_ops[a0 as usize..a1 as usize];
-        if !via_chain {
-            self.sched.superblocks_entered += 1;
-        }
+        self.sched.superblocks_entered += 1;
         self.sched.ops_inlined += u64::from(g1 - g0) + u64::from(a1 - a0);
         let mut delay: Option<u32> = None;
         if sb.fused.is_some() || !action_ops.is_empty() {
@@ -990,17 +864,6 @@ impl<D: InstrData, R> EngineState<D, R> {
                 seq = tok.seq;
             }
             self.insert_token(plan, token, sb.dest, ready);
-            if sb.chain_next != u32::MAX {
-                // Park a chain cursor on the destination: the compile
-                // pass proved (place, class) there has a fusion-legal
-                // successor superblock, so pre-resolve next cycle's
-                // dispatch instead of re-deriving it from the scan.
-                self.park[sb.dest as usize] =
-                    ChainPark { sb: sb.chain_next, token, class: sb.class, fire_at: cycle + 1 };
-                if !via_chain {
-                    self.sched.chains_entered += 1;
-                }
-            }
         }
 
         self.stats.fires[tid] += 1;
@@ -1147,29 +1010,10 @@ impl<D: InstrData, R> EngineState<D, R> {
             tok.place = PlaceId::from_index(h.dest as usize);
             tok.arrived_at = cycle;
             tok.ready_at = ready;
-            let class = tok.data.as_ref().expect("instruction token has data").op_class();
             if self.cfg.trace {
                 seq = tok.seq;
             }
             self.insert_token(plan, token, h.dest, ready);
-            // Enter a chain from outside: the destination `(place, class)`
-            // is a compile-proven chain head, and the token will be ready
-            // at its next sweep slot — park a cursor so that dispatch is
-            // pre-resolved instead of re-derived by the generic scan.
-            // (Self-validating; a flush or redirect from this very
-            // firing's effects just makes the cursor fail validation.)
-            if ready <= cycle + 1 {
-                let entry = plan.chain_entry_at(h.dest as usize, class.index());
-                if entry != u32::MAX {
-                    self.park[h.dest as usize] = ChainPark {
-                        sb: entry,
-                        token,
-                        class: class.index() as u32,
-                        fire_at: cycle + 1,
-                    };
-                    self.sched.chains_entered += 1;
-                }
-            }
         }
 
         // Reservation-token output arcs.
@@ -1314,31 +1158,6 @@ impl<D: InstrData, R> EngineState<D, R> {
                         ready,
                     );
                     self.insert_token(plan, id, hs.dest, ready);
-                    // A generated token enters a chain the same way a
-                    // fired one does: when the destination `(place,
-                    // class)` is a compile-proven chain head and the
-                    // token is ready at its next sweep slot, park a
-                    // cursor pre-resolving that dispatch.
-                    if ready <= cycle + 1 {
-                        let class = self
-                            .pool
-                            .get(id)
-                            .expect("just allocated")
-                            .data
-                            .as_ref()
-                            .expect("instruction token has data")
-                            .op_class();
-                        let entry = plan.chain_entry_at(hs.dest as usize, class.index());
-                        if entry != u32::MAX {
-                            self.park[hs.dest as usize] = ChainPark {
-                                sb: entry,
-                                token: id,
-                                class: class.index() as u32,
-                                fire_at: cycle + 1,
-                            };
-                            self.sched.chains_entered += 1;
-                        }
-                    }
                     self.stats.generated += 1;
                     self.stats.source_fires[si] += 1;
                     if self.cfg.trace {

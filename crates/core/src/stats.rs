@@ -101,17 +101,13 @@ pub struct SchedStats {
     /// Micro-ops interpreted inside superblock firings (fused
     /// ready/acquire pairs count as two ops).
     pub ops_inlined: u64,
-    /// Tokens that entered a compiled chain: a superblock firing whose
-    /// destination is the head of a fusion-legal chain link parked a
-    /// dispatch cursor on the destination place instead of leaving the
-    /// next hop to the generic place scan.
+    /// Always 0. Cross-place chains, the dispatch tier that counted
+    /// parked cursors here, were removed because they did not pay for
+    /// themselves (`DESIGN.md` §2d); the field stays so the `rcpn-serve`
+    /// wire codec, the sweep record and external readers of the
+    /// counters keep their shape.
     pub chains_entered: u64,
-    /// Chain links dispatched through a parked cursor: the place's sweep
-    /// slot fired the pre-resolved successor block directly, eliding the
-    /// token snapshot walk, class lookup and superblock table lookup (and
-    /// their `place_visits`/`token_visits`/`trans_visits`/
-    /// `superblocks_entered` accounting, which
-    /// [`SchedStats::dispatch_normalized`] folds back).
+    /// Always 0, for the same reason as `chains_entered`.
     pub chain_links_fired: u64,
 }
 
@@ -160,28 +156,19 @@ impl SchedStats {
     }
 
     /// A copy with the dispatch-representation counters folded away:
-    /// `guard_ir_evals` merged into `guard_hook_evals`; each
-    /// `chain_links_fired` folded back into the `place_visits`,
-    /// `token_visits` and `trans_visits` a cursor dispatch elides (one of
-    /// each per fired link); and `actions_fused`, `superblocks_entered`,
-    /// `ops_inlined`, `chains_entered` and `chain_links_fired` zeroed.
-    /// An IR-lowered model, its closure-lowered twin, the superblocks-off
-    /// per-op oracle, and the chains-off superblock oracle must agree on
-    /// *this* view bit-for-bit (the oracle tests compare it); the raw
-    /// counters differ by design — that difference is the refactor's
-    /// observability.
+    /// `guard_ir_evals` merged into `guard_hook_evals`, and
+    /// `actions_fused`, `superblocks_entered` and `ops_inlined` zeroed.
+    /// An IR-lowered model, its closure-lowered twin and the
+    /// superblocks-off per-op oracle must agree on *this* view
+    /// bit-for-bit (the oracle tests compare it); the raw counters differ
+    /// by design — that difference is the refactor's observability.
     pub fn dispatch_normalized(&self) -> SchedStats {
         let mut s = self.clone();
         s.guard_hook_evals += s.guard_ir_evals;
         s.guard_ir_evals = 0;
-        s.place_visits += s.chain_links_fired;
-        s.token_visits += s.chain_links_fired;
-        s.trans_visits += s.chain_links_fired;
         s.actions_fused = 0;
         s.superblocks_entered = 0;
         s.ops_inlined = 0;
-        s.chains_entered = 0;
-        s.chain_links_fired = 0;
         s
     }
 

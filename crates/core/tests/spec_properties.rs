@@ -538,11 +538,9 @@ proptest! {
     /// The dispatch differential: a random spec over the lowerable
     /// scoreboard policy — including the synthesized `when_cond`,
     /// `publish`, `annuls` and `flushes_always` step capabilities — must
-    /// simulate bit-identically across four compiled variants: micro-op
-    /// IR with chained superblock dispatch (the default), IR with
-    /// superblocks but no cross-place chains (`chains: false`), IR with
-    /// the per-op interpreter (`superblocks: false`) and the closure
-    /// lowering. Identity covers trace, `Stats`, dispatch-normalized
+    /// simulate bit-identically across three compiled variants: micro-op
+    /// IR with superblock dispatch (the default), IR with the per-op
+    /// interpreter (`superblocks: false`) and the closure lowering. Identity covers trace, `Stats`, dispatch-normalized
     /// `SchedStats` and architectural registers; the raw counters prove
     /// each variant ran its own path.
     #[test]
@@ -564,14 +562,11 @@ proptest! {
             n_stages, caps, forward, skip, cond_skip, publish, static_flush, width, program,
         };
         let mut outcomes = Vec::new();
-        for (lowering, superblocks, chains) in [
-            (Lowering::Auto, true, true),
-            (Lowering::Auto, true, false),
-            (Lowering::Auto, false, false),
-            (Lowering::Closures, false, false),
-        ] {
+        for (lowering, superblocks) in
+            [(Lowering::Auto, true), (Lowering::Auto, false), (Lowering::Closures, false)]
+        {
             let model = build_reg_spec(&shape, lowering).lower().expect("reg spec lowers");
-            let cfg = EngineConfig { trace: true, superblocks, chains, ..Default::default() };
+            let cfg = EngineConfig { trace: true, superblocks, ..Default::default() };
             let compiled = CompiledModel::compile_with(model, cfg);
             let is_auto = lowering == Lowering::Auto;
             prop_assert_eq!(
@@ -587,28 +582,22 @@ proptest! {
             if !superblocks {
                 prop_assert_eq!(compiled.superblocks(), 0, "sb tables only when enabled");
             }
-            if !chains {
-                prop_assert_eq!(compiled.chains(), 0, "chain tables only when enabled");
-                prop_assert_eq!(compiled.chain_links(), 0, "chain links only when enabled");
-            }
             let mut e = compiled.instantiate(reg_machine(&shape));
             e.run(120);
             let regs: Vec<u32> =
                 (0..4).map(|i| e.machine().regs.value_of(RegId::from_index(i))).collect();
             outcomes.push((e.take_trace(), e.stats().clone(), e.sched().clone(), regs));
         }
-        let (ch, sb, po, cl) = (&outcomes[0], &outcomes[1], &outcomes[2], &outcomes[3]);
-        for (name, o) in [("superblocks", sb), ("per-op", po), ("closures", cl)] {
-            prop_assert_eq!(&ch.0, &o.0, "chains vs {}: trace", name);
-            prop_assert_eq!(&ch.1, &o.1, "chains vs {}: Stats", name);
+        let (sb, po, cl) = (&outcomes[0], &outcomes[1], &outcomes[2]);
+        for (name, o) in [("per-op", po), ("closures", cl)] {
+            prop_assert_eq!(&sb.0, &o.0, "superblocks vs {}: trace", name);
+            prop_assert_eq!(&sb.1, &o.1, "superblocks vs {}: Stats", name);
             prop_assert_eq!(
-                ch.2.dispatch_normalized(),
+                sb.2.dispatch_normalized(),
                 o.2.dispatch_normalized(),
-                "chains vs {}: normalized SchedStats", name
+                "superblocks vs {}: normalized SchedStats", name
             );
-            prop_assert_eq!(&ch.3, &o.3, "chains vs {}: architectural state", name);
-            prop_assert_eq!(o.2.chains_entered, 0, "{} must not park chain cursors", name);
-            prop_assert_eq!(o.2.chain_links_fired, 0, "{} must not fire chain links", name);
+            prop_assert_eq!(&sb.3, &o.3, "superblocks vs {}: architectural state", name);
         }
         for (name, o) in [("per-op", po), ("closures", cl)] {
             prop_assert_eq!(o.2.superblocks_entered, 0, "{} must not enter superblocks", name);
@@ -616,9 +605,9 @@ proptest! {
         }
         prop_assert_eq!(cl.2.guard_ir_evals, 0, "closure lowering must not run IR");
         // If any class-A instruction issued, the IR variants ran IR guards.
-        if ch.1.fires.first().copied().unwrap_or(0) > 0 {
-            prop_assert!(ch.2.guard_ir_evals > 0, "IR lowering must use the IR interpreter");
-            prop_assert!(ch.2.actions_fused > 0, "read steps must fuse");
+        if sb.1.fires.first().copied().unwrap_or(0) > 0 {
+            prop_assert!(sb.2.guard_ir_evals > 0, "IR lowering must use the IR interpreter");
+            prop_assert!(sb.2.actions_fused > 0, "read steps must fuse");
         }
     }
 }

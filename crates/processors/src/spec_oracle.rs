@@ -89,7 +89,6 @@ fn configs() -> Vec<(&'static str, EngineConfig)> {
             EngineConfig { scheduler: SchedulerMode::Exhaustive, ..Default::default() },
         ),
         ("dispatch:per-op", EngineConfig { superblocks: false, ..Default::default() }),
-        ("dispatch:chains-off", EngineConfig { chains: false, ..Default::default() }),
     ];
     for (_, c) in &mut cfgs {
         c.trace = true;
@@ -261,36 +260,6 @@ fn superblock_dispatch_is_bit_identical_to_per_op_dispatch() {
     }
 }
 
-/// Forces superblock-only dispatch ([`EngineConfig::chains`] off) — the
-/// differential oracle for the cross-place chain fast path.
-fn chains_off(
-    compile: impl Fn(&SimConfig) -> CompiledModel<ArmTok, ArmRes>,
-) -> impl Fn(&SimConfig) -> CompiledModel<ArmTok, ArmRes> {
-    move |config| {
-        let mut config = config.clone();
-        config.engine.chains = false;
-        compile(&config)
-    }
-}
-
-/// Chain dispatch is bit-identical to the superblock oracle for every ARM
-/// model under every engine configuration of [`configs`] (both schedulers,
-/// every table mode, the fixpoint scheme): same trace, same [`Stats`],
-/// same dispatch-normalized [`SchedStats`], same architectural state. The
-/// parked-cursor path may only *elide* bookkeeping, never change what
-/// fires.
-#[test]
-fn chain_dispatch_is_bit_identical_to_superblock_oracle() {
-    for proc in crate::sim::ProcModel::ALL {
-        assert_identical(
-            proc.label(),
-            move |config| proc.compile(config),
-            chains_off(move |config| proc.compile(config)),
-            proc.default_config(),
-        );
-    }
-}
-
 /// The dispatch refactor must actually engage: every default ARM model
 /// compiles its read steps to IR (with the CheckReady+AcquireOperands
 /// pairs fused), runs them through the IR interpreter — `guard_ir_evals`
@@ -312,9 +281,6 @@ fn ir_path_is_exercised_and_closure_twin_is_not() {
         assert!(a.sched.actions_fused > 0, "{proc:?}: fused acquires never fired");
         assert!(a.sched.superblocks_entered > 0, "{proc:?}: superblocks never dispatched");
         assert!(a.sched.ops_inlined > 0, "{proc:?}: no ops interpreted inside superblocks");
-        assert!(ir.chains() > 0, "{proc:?}: no chain entry points formed");
-        assert!(a.sched.chains_entered > 0, "{proc:?}: chain cursors never parked");
-        assert!(a.sched.chain_links_fired > 0, "{proc:?}: chain cursors never dispatched");
 
         let closure_config =
             SimConfig { lowering: rcpn::spec::Lowering::Closures, ..config.clone() };
@@ -335,26 +301,7 @@ fn ir_path_is_exercised_and_closure_twin_is_not() {
         let c = run(&po, program, &per_op_config);
         assert_eq!(c.sched.superblocks_entered, 0, "{proc:?}: per-op twin entered superblocks");
         assert_eq!(c.sched.ops_inlined, 0);
-        assert_eq!(c.sched.chain_links_fired, 0, "{proc:?}: per-op twin fired chain links");
         assert_eq!(a.stats, c.stats, "{proc:?}: superblocks changed simulation");
-
-        // The chains-off twin keeps superblocks but compiles no chain
-        // tables and never parks a cursor.
-        let mut chains_off_config = config.clone();
-        chains_off_config.engine.chains = false;
-        let co = proc.compile(&chains_off_config);
-        assert_eq!(co.chains(), 0, "{proc:?}: chains-off twin formed chain entries");
-        assert_eq!(co.chain_links(), 0, "{proc:?}: chains-off twin linked superblocks");
-        assert!(co.superblocks() > 0, "{proc:?}: chains-off twin lost its superblocks");
-        let d = run(&co, program, &chains_off_config);
-        assert_eq!(d.sched.chains_entered, 0, "{proc:?}: chains-off twin parked cursors");
-        assert_eq!(d.sched.chain_links_fired, 0);
-        assert!(
-            d.sched.superblocks_entered > a.sched.superblocks_entered,
-            "{proc:?}: cursors elide direct superblock entries, so the chains-off \
-             twin must record more of them"
-        );
-        assert_eq!(a.stats, d.stats, "{proc:?}: chains changed simulation");
     }
 }
 
