@@ -1348,148 +1348,98 @@ fn decode_plan(
 /// here: a forged-but-checksummed file is refused with a typed error
 /// instead of panicking the first engine instantiated from it.
 fn check_plan<D, R>(plan: &ExecPlan, model: &Model<D, R>) -> Result<(), String> {
-    let n_places = model.place_count();
-    let n_trans = model.transition_count();
-    let n_stages = model.stage_count();
+    let (n_places, n_trans, n_stages) =
+        (model.place_count(), model.transition_count(), model.stage_count());
     let n_classes = model.op_class_count();
-    let len = |what: &str, found: usize, expected: usize| {
-        if found == expected {
-            Ok(())
-        } else {
-            Err(format!("{what} has {found} entries, the model needs {expected}"))
+    for (what, found, expected) in [
+        ("hot", plan.hot.len(), n_trans),
+        ("dispatch", plan.dispatch.len(), n_trans),
+        ("hot_place", plan.hot_place.len(), n_places),
+        ("hot_source", plan.hot_source.len(), model.source_count()),
+        ("stage table", plan.n_stages, n_stages),
+        ("dependents", plan.dependents.len(), n_places),
+        ("subnet_of_class", plan.subnet_of_class.len(), n_classes),
+        ("subnet_of_trans", plan.subnet_of_trans.len(), n_trans),
+        ("input_of_trans", plan.input_of_trans.len(), n_trans),
+    ] {
+        if found != expected {
+            return Err(format!("{what} has {found} entries, the model needs {expected}"));
         }
-    };
-    let index = |what: &str, i: u32, bound: usize| {
-        if (i as usize) < bound {
-            Ok(())
-        } else {
-            Err(format!("{what} {i} out of range (bound {bound})"))
-        }
-    };
-    len("hot", plan.hot.len(), n_trans)?;
-    len("dispatch", plan.dispatch.len(), n_trans)?;
-    len("hot_place", plan.hot_place.len(), n_places)?;
-    len("hot_source", plan.hot_source.len(), model.source_count())?;
-    len("stage table", plan.n_stages, n_stages)?;
-    len("dependents", plan.dependents.len(), n_places)?;
-    len("subnet_of_class", plan.subnet_of_class.len(), n_classes)?;
-    len("subnet_of_trans", plan.subnet_of_trans.len(), n_trans)?;
-    len("input_of_trans", plan.input_of_trans.len(), n_trans)?;
-    for &p in &plan.input_of_trans {
-        index("input_of_trans place", p, n_places)?;
     }
-    for h in &plan.hot {
-        index("transition dest", h.dest, n_places)?;
-        index("transition dest_stage", h.dest_stage, n_stages)?;
-    }
-    for p in &plan.hot_place {
-        index("place stage", p.stage, n_stages)?;
-    }
-    for s in &plan.hot_source {
-        index("source dest", s.dest, n_places)?;
-    }
-
-    let spans = |flat: &[u32], span: &[(u32, u16)], rows: usize| {
-        if span.len() < rows {
-            return Err(format!("lookup has {} spans, the model needs {rows}", span.len()));
-        }
-        if span.iter().any(|&(start, n)| start as usize + usize::from(n) > flat.len()) {
-            return Err("lookup span out of range".to_string());
-        }
-        flat.iter().try_for_each(|&t| index("lookup transition", t, n_trans))
-    };
-    match &plan.lookup {
+    let ensure =
+        |ok: bool, what: &str| if ok { Ok(()) } else { Err(format!("{what} out of range")) };
+    let below = |i: u32, n: usize| (i as usize) < n;
+    ensure(plan.input_of_trans.iter().all(|&p| below(p, n_places)), "input_of_trans place")?;
+    ensure(
+        plan.hot.iter().all(|h| below(h.dest, n_places) && below(h.dest_stage, n_stages)),
+        "transition destination",
+    )?;
+    ensure(plan.hot_place.iter().all(|p| below(p.stage, n_stages)), "place stage")?;
+    ensure(plan.hot_source.iter().all(|s| below(s.dest, n_places)), "source destination")?;
+    let (flat, span, rows): (&[u32], &[(u32, u16)], usize) = match &plan.lookup {
         Lookup::PerPlaceClass { flat, span, n_classes: stride } => {
-            len("lookup class stride", *stride, n_classes)?;
-            spans(flat, span, n_places * stride)?;
+            ensure(*stride == n_classes, "lookup class stride")?;
+            (flat, span, n_places * stride)
         }
-        Lookup::PerPlace { flat, span } => spans(flat, span, n_places)?,
-        Lookup::FullScan { order } => {
-            order.iter().try_for_each(|&t| index("lookup transition", t, n_trans))?;
-        }
-    }
+        Lookup::PerPlace { flat, span } => (flat, span, n_places),
+        Lookup::FullScan { order } => (order, &[], 0),
+    };
+    ensure(
+        span.len() >= rows && span.iter().all(|&(a, n)| a as usize + usize::from(n) <= flat.len()),
+        "lookup span",
+    )?;
+    ensure(flat.iter().all(|&t| below(t, n_trans)), "lookup transition")?;
 
     // Dispatch codes must agree with the model's closures and flags, and
     // program ops with the slot that runs them (the interpreters treat
     // anything else as unreachable).
-    let program = |i: u32, guard: bool| -> Result<(), String> {
-        index("dispatch program", i, plan.programs.len())?;
-        for op in plan.programs[i as usize].ops() {
-            match *op {
-                MicroOp::CallHook(h) if guard => index("guard hook", h, model.hooks.guards.len())?,
-                MicroOp::CallHook(h) => index("action hook", h, model.hooks.actions.len())?,
-                MicroOp::ReserveRes { place, .. }
-                    if plan.res_places.binary_search(&place).is_err() =>
-                {
-                    return Err(format!("reservation into {place}, which is no expiry target"));
+    let program_ok = |i: u32, guard: bool| {
+        let hooks = if guard { model.hooks.guards.len() } else { model.hooks.actions.len() };
+        below(i, plan.programs.len())
+            && plan.programs[i as usize].ops().iter().all(|op| match *op {
+                MicroOp::CallHook(h) => below(h, hooks),
+                MicroOp::ReserveRes { place, .. } => {
+                    !guard && plan.res_places.binary_search(&place).is_ok()
                 }
-                _ if guard && !op.is_guard_op() => {
-                    return Err(format!("{op:?} in a guard program"))
-                }
-                _ if !guard && !op.is_action_op() => {
-                    return Err(format!("{op:?} in an action program"))
-                }
-                _ => {}
-            }
-        }
-        Ok(())
+                _ => (guard && op.is_guard_op()) || (!guard && op.is_action_op()),
+            })
     };
     for ((d, h), t) in plan.dispatch.iter().zip(&plan.hot).zip(&model.transitions) {
-        if h.has_guard != (d.guard != GuardCode::None) {
-            return Err(format!(
-                "transition {:?}: has_guard disagrees with its guard code",
-                t.name
-            ));
-        }
-        match d.guard {
-            GuardCode::Closure if !matches!(t.guard, Some(GuardKind::Closure(_))) => {
-                return Err(format!(
-                    "transition {:?}: closure guard code without a closure",
-                    t.name
-                ));
-            }
-            GuardCode::Prog(i) => program(i, true)?,
-            _ => {}
-        }
-        match d.action {
-            ActionCode::Closure if !matches!(t.action, Some(ActionKind::Closure(_))) => {
-                return Err(format!(
-                    "transition {:?}: closure action code without a closure",
-                    t.name
-                ));
-            }
-            ActionCode::Prog(i) => program(i, false)?,
-            _ => {}
+        let guard_ok = match d.guard {
+            GuardCode::Closure => matches!(t.guard, Some(GuardKind::Closure(_))),
+            GuardCode::Prog(i) => program_ok(i, true),
+            GuardCode::None | GuardCode::Fused { .. } => true,
+        };
+        let action_ok = match d.action {
+            ActionCode::Closure => matches!(t.action, Some(ActionKind::Closure(_))),
+            ActionCode::Prog(i) => program_ok(i, false),
+            ActionCode::None => true,
+        };
+        if !guard_ok || !action_ok || h.has_guard != (d.guard != GuardCode::None) {
+            return Err(format!("transition {:?}: dispatch codes disagree with the model", t.name));
         }
     }
 
     for b in &plan.sb_blocks {
-        index("superblock transition", b.tid, n_trans)?;
-        index("superblock dest", b.dest, n_places)?;
-        index("superblock dest_stage", b.dest_stage, n_stages)?;
-        if b.guard.0 > b.guard.1
-            || b.action.0 > b.action.1
-            || b.guard.1 as usize > plan.sb_ops.len()
-            || b.action.1 as usize > plan.sb_ops.len()
-        {
-            return Err("superblock op range out of bounds".to_string());
-        }
-        let guard = &plan.sb_ops[b.guard.0 as usize..b.guard.1 as usize];
-        let action = &plan.sb_ops[b.action.0 as usize..b.action.1 as usize];
-        if !guard
-            .iter()
-            .all(|op| matches!(op, MicroOp::CheckReady { .. } | MicroOp::CheckCond { .. }))
-            || !action.iter().all(|op| op.is_superblock_op() && op.is_action_op())
-        {
-            return Err("superblock holds an op the fast path cannot run".to_string());
-        }
+        let ops = |(a, z): (u32, u32)| plan.sb_ops.get(a as usize..z as usize);
+        let (Some(guard), Some(action)) = (ops(b.guard), ops(b.action)) else {
+            return Err("superblock op range out of range".to_string());
+        };
+        ensure(
+            below(b.tid, n_trans)
+                && below(b.dest, n_places)
+                && below(b.dest_stage, n_stages)
+                && guard
+                    .iter()
+                    .all(|op| matches!(op, MicroOp::CheckReady { .. } | MicroOp::CheckCond { .. }))
+                && action.iter().all(|op| op.is_superblock_op() && op.is_action_op()),
+            "superblock",
+        )?;
     }
-    for &i in &plan.sb_index {
-        if i != u32::MAX {
-            index("sb_index entry", i, plan.sb_blocks.len())?;
-        }
-    }
-    Ok(())
+    ensure(
+        plan.sb_index.iter().all(|&i| i == u32::MAX || below(i, plan.sb_blocks.len())),
+        "sb_index",
+    )
 }
 
 impl<D: InstrData, R> CompiledModel<D, R> {
@@ -2003,21 +1953,13 @@ mod tests {
             ("superblock dests", |p| p.sb_blocks.iter_mut().for_each(|b| b.dest = 99)),
             ("superblock dest_stage", |p| p.sb_blocks[0].dest_stage = 99),
             ("place stage", |p| p.hot_place[0].stage = 99),
-            ("short hot", |p| {
-                p.hot.pop();
-            }),
-            ("short dispatch", |p| {
-                p.dispatch.pop();
-            }),
-            ("short hot_place", |p| {
-                p.hot_place.pop();
-            }),
+            ("short hot", |p| p.hot.truncate(1)),
+            ("short dispatch", |p| p.dispatch.truncate(1)),
+            ("short hot_place", |p| p.hot_place.truncate(1)),
             ("no hot_source", |p| p.hot_source.clear()),
             ("input_of_trans", |p| p.input_of_trans[0] = 99),
             ("short subnet_of_class", |p| p.subnet_of_class.clear()),
-            ("short subnet_of_trans", |p| {
-                p.subnet_of_trans.pop();
-            }),
+            ("short subnet_of_trans", |p| p.subnet_of_trans.truncate(1)),
             ("lookup span", |p| {
                 let Lookup::PerPlaceClass { span, .. } = &mut p.lookup else { unreachable!() };
                 span[0] = (u32::MAX, 1);
