@@ -9,8 +9,8 @@
 //! Subcommands: `fig10` (simulation performance), `fig11` (CPI), `fig2`
 //! (RCPN vs CPN model size), `ablations` (Section 4 optimizations),
 //! `effort` (Section 5 model statistics), `all`. With `--cache DIR`,
-//! `fig10` reloads each RCPN simulator from the artifact cache instead of
-//! recompiling its model (compiling and storing on a first run).
+//! `fig10` loads each RCPN model from the artifact cache instead of
+//! lowering its spec (compiling and storing on a first run).
 
 use processors::sim::{CaSim, ProcModel};
 use rcpn::artifact::ArtifactCache;

@@ -15,7 +15,7 @@
 //! architectural result, the engine [`Stats`](rcpn::stats::Stats) and the
 //! scheduler [`SchedStats`](rcpn::stats::SchedStats). With `--cache`,
 //! compiled models come from the artifact
-//! cache, so repeat runs recompile nothing.
+//! cache, so repeat runs lower no spec.
 
 use std::process::ExitCode;
 

@@ -194,7 +194,7 @@ pub fn compiled_sim(sim: Simulator) -> Option<CompiledSim> {
 }
 
 /// Like [`compiled_sim`], but served through an artifact cache: a hit
-/// reloads the stored artifact instead of recompiling, a miss compiles
+/// loads the stored model instead of lowering the spec, a miss compiles
 /// and stores, and the closure-lowered ablation row (unserializable)
 /// compiles without touching the store. `Ok(None)` for the non-RCPN
 /// comparators.

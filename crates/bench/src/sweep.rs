@@ -158,8 +158,8 @@ impl Sweep {
         Sweep { variants, artifacts, workloads, jobs }
     }
 
-    /// [`Sweep::new`] with engine variants reloaded from (or stored into)
-    /// an artifact cache instead of recompiled — see
+    /// [`Sweep::new`] with engine variants loaded from (or stored into)
+    /// an artifact cache instead of lowered from their specs — see
     /// [`Sweep::with_cached`].
     ///
     /// # Errors

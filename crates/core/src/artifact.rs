@@ -1,13 +1,17 @@
-//! Serialized compiled models: the generated simulator as a build product.
+//! Serialized models: the pipeline description as a build product.
 //!
 //! The paper's flow — pipeline description → analysis → generated
 //! cycle-accurate simulator — ends, in this crate, at a
 //! [`CompiledModel`]: flat hot tables plus the source model. Since the
 //! spec layer synthesizes guards and actions as micro-op IR
-//! ([`crate::ir`]), almost everything in that artifact is plain data; this
-//! module makes the artifact *persistent*, so a model is compiled once and
-//! reloaded from disk thereafter — the prerequisite for treating pipeline
-//! descriptions as data a service can accept.
+//! ([`crate::ir`]), the model definition is plain data; this module makes
+//! it *persistent*. An artifact stores the engine config and the model
+//! definition, nothing derived: loading one rebuilds the model through
+//! [`ModelBuilder::build`] and regenerates the tables with
+//! [`CompiledModel::compile_with`], so a loaded model passes the same
+//! validation and the same generator as one built in code, and its tables
+//! cannot disagree with its model. That is what lets a service accept
+//! pipeline descriptions as data.
 //!
 //! Three pieces:
 //!
@@ -18,7 +22,9 @@
 //!   is the code in this file, versioned by [`FORMAT_VERSION`], and the
 //!   golden-fixture test fails loudly when the bytes change without a
 //!   version bump. The decoder is fully bounds-checked and returns typed
-//!   [`ArtifactError`]s; it never panics on hostile bytes.
+//!   [`ArtifactError`]s; it never panics on hostile bytes. A checksummed
+//!   but forged model is refused by `build()`, the trust boundary, as
+//!   `Corrupt { section: "model" }`.
 //! * **Named hooks** — closures cannot be serialized, so every
 //!   escape-hatch closure of a serializable model carries a
 //!   [`NamedHook`]: a stable string key plus the captured [`HookArgs`]
@@ -37,15 +43,11 @@
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
-use crate::analysis::Analysis;
-use crate::compiled::{
-    ActionCode, CompiledModel, ExecPlan, GuardCode, HotDispatch, HotPlace, HotSource, HotTrans,
-    Lookup, SbBlock,
-};
+use crate::builder::ModelBuilder;
+use crate::compiled::CompiledModel;
 use crate::engine::{EngineConfig, SchedulerMode, TableMode};
-use crate::ids::{PlaceId, StageId, SubnetId, TransitionId};
+use crate::ids::{PlaceId, StageId, SubnetId};
 use crate::ir::{MicroOp, Program};
 use crate::model::{
     Action, ActionKind, Guard, GuardKind, HookArgs, Hooks, Model, NamedHook, OpClassDef, PlaceDef,
@@ -57,7 +59,7 @@ use crate::token::InstrData;
 /// Version of the on-disk encoding. Bump on **any** change to the byte
 /// layout — the golden-fixture test pins the current bytes and fails when
 /// they drift under an unchanged version.
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 
 /// The four magic bytes every artifact starts with.
 pub const MAGIC: [u8; 4] = *b"RCPN";
@@ -265,11 +267,9 @@ const SEC_HOOKS: u8 = 6;
 const SEC_TRANSITIONS: u8 = 7;
 const SEC_SOURCES: u8 = 8;
 const SEC_SQUASH: u8 = 9;
-const SEC_ANALYSIS: u8 = 10;
-const SEC_PLAN: u8 = 11;
 
 /// Tag → name, in the exact order sections appear in the payload.
-const SECTIONS: [(u8, &str); 11] = [
+const SECTIONS: [(u8, &str); 9] = [
     (SEC_CONFIG, "config"),
     (SEC_STAGES, "stages"),
     (SEC_PLACES, "places"),
@@ -279,8 +279,6 @@ const SECTIONS: [(u8, &str); 11] = [
     (SEC_TRANSITIONS, "transitions"),
     (SEC_SOURCES, "sources"),
     (SEC_SQUASH, "squash"),
-    (SEC_ANALYSIS, "analysis"),
-    (SEC_PLAN, "plan"),
 ];
 
 fn section_name(tag: u8) -> &'static str {
@@ -301,10 +299,6 @@ struct Writer {
 impl Writer {
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
-    }
-
-    fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     fn u32(&mut self, v: u32) {
@@ -341,20 +335,6 @@ impl Writer {
         self.len32(ps.len());
         for &p in ps {
             self.place(p);
-        }
-    }
-
-    fn tids(&mut self, ts: &[TransitionId]) {
-        self.len32(ts.len());
-        for t in ts {
-            self.u32(t.index() as u32);
-        }
-    }
-
-    fn u32s(&mut self, vs: &[u32]) {
-        self.len32(vs.len());
-        for &v in vs {
-            self.u32(v);
         }
     }
 
@@ -463,10 +443,6 @@ impl<'a> Reader<'a> {
         Ok(self.take(1)?[0])
     }
 
-    fn u16(&mut self) -> Result<u16, ArtifactError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
-    }
-
     fn u32(&mut self) -> Result<u32, ArtifactError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
     }
@@ -522,26 +498,6 @@ impl<'a> Reader<'a> {
     fn places(&mut self, n_places: usize) -> Result<Vec<PlaceId>, ArtifactError> {
         let n = self.count()?;
         (0..n).map(|_| self.place(n_places)).collect()
-    }
-
-    fn tids(&mut self, n_trans: usize) -> Result<Vec<TransitionId>, ArtifactError> {
-        let n = self.count()?;
-        (0..n)
-            .map(|_| {
-                let i = self.u32()? as usize;
-                if i >= n_trans {
-                    return Err(
-                        self.corrupt(format!("transition index {i} out of range (< {n_trans})"))
-                    );
-                }
-                Ok(TransitionId::from_index(i))
-            })
-            .collect()
-    }
-
-    fn u32s(&mut self) -> Result<Vec<u32>, ArtifactError> {
-        let n = self.count()?;
-        (0..n).map(|_| self.u32()).collect()
     }
 
     fn named_hook(&mut self, n_places: usize) -> Result<NamedHook, ArtifactError> {
@@ -877,152 +833,7 @@ fn encode_model<D, R>(w: &mut Writer, model: &Model<D, R>) -> Result<(), Artifac
         }
         Ok(())
     })?;
-    w.section(SEC_ANALYSIS, |w| {
-        let a = &model.analysis;
-        w.places(&a.order);
-        w.len32(a.two_list.len());
-        for &b in &a.two_list {
-            w.bool(b);
-        }
-        w.len32(a.sorted.len());
-        for list in &a.sorted {
-            w.tids(list);
-        }
-        w.len32(a.by_place.len());
-        for list in &a.by_place {
-            w.tids(list);
-        }
-        w.len32(a.n_classes);
-        w.len32(a.flow_cycle_places);
-        w.len32(a.feedback_places);
-        Ok(())
-    })?;
     Ok(())
-}
-
-fn encode_plan(w: &mut Writer, plan: &ExecPlan) -> Result<(), ArtifactError> {
-    w.section(SEC_PLAN, |w| {
-        w.places(&plan.order);
-        w.bool(plan.fixpoint);
-        w.places(&plan.res_places);
-        match &plan.lookup {
-            Lookup::PerPlaceClass { flat, span, n_classes } => {
-                w.u8(0);
-                w.u32s(flat);
-                w.len32(span.len());
-                for &(start, len) in span {
-                    w.u32(start);
-                    w.u16(len);
-                }
-                w.len32(*n_classes);
-            }
-            Lookup::PerPlace { flat, span } => {
-                w.u8(1);
-                w.u32s(flat);
-                w.len32(span.len());
-                for &(start, len) in span {
-                    w.u32(start);
-                    w.u16(len);
-                }
-            }
-            Lookup::FullScan { order } => {
-                w.u8(2);
-                w.u32s(order);
-            }
-        }
-        w.u32s(&plan.subnet_of_class);
-        w.u32s(&plan.subnet_of_trans);
-        w.u32s(&plan.input_of_trans);
-        w.len32(plan.dependents.len());
-        for list in &plan.dependents {
-            w.tids(list);
-        }
-        w.len32(plan.hot.len());
-        for h in &plan.hot {
-            w.u32(h.dest);
-            w.u32(h.dest_stage);
-            w.bool(h.cap_exempt);
-            w.bool(h.dest_is_end);
-            w.u64(h.base_ready);
-            w.u64(h.tdelay);
-            w.u32(h.cap);
-            w.bool(h.has_guard);
-            w.bool(h.has_action);
-            w.bool(h.has_extra);
-            w.bool(h.has_res);
-        }
-        w.len32(plan.hot_place.len());
-        for p in &plan.hot_place {
-            w.u32(p.stage);
-            w.bool(p.two_list);
-            w.u64(p.delay);
-            w.u32(p.cap);
-            w.bool(p.is_end);
-            w.u32(p.n_dependents);
-        }
-        w.len32(plan.hot_source.len());
-        for s in &plan.hot_source {
-            w.u32(s.dest);
-            w.u32(s.width);
-        }
-        w.len32(plan.dispatch.len());
-        for d in &plan.dispatch {
-            match d.guard {
-                GuardCode::None => w.u8(0),
-                GuardCode::Closure => w.u8(1),
-                GuardCode::Prog(i) => {
-                    w.u8(2);
-                    w.u32(i);
-                }
-                GuardCode::Fused { fwd_mask } => {
-                    w.u8(3);
-                    w.u64(fwd_mask);
-                }
-            }
-            match d.action {
-                ActionCode::None => w.u8(0),
-                ActionCode::Closure => w.u8(1),
-                ActionCode::Prog(i) => {
-                    w.u8(2);
-                    w.u32(i);
-                }
-            }
-        }
-        w.len32(plan.programs.len());
-        for p in &plan.programs {
-            w.program(p);
-        }
-        w.len32(plan.n_stages);
-        w.u32s(&plan.sb_index);
-        w.len32(plan.sb_blocks.len());
-        for b in &plan.sb_blocks {
-            w.u32(b.tid);
-            w.u32(b.guard.0);
-            w.u32(b.guard.1);
-            w.u32(b.action.0);
-            w.u32(b.action.1);
-            match b.fused {
-                None => w.u8(0),
-                Some(m) => {
-                    w.u8(1);
-                    w.u64(m);
-                }
-            }
-            w.u32(b.dest);
-            w.u32(b.dest_stage);
-            w.bool(b.dest_is_end);
-            w.bool(b.cap_exempt);
-            w.u32(b.cap);
-            w.u64(b.base_ready);
-            w.u64(b.tdelay);
-        }
-        w.len32(plan.sb_ops.len());
-        for op in &plan.sb_ops {
-            w.micro_op(op);
-        }
-        w.len32(plan.sb_classes);
-        Ok(())
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1171,277 +982,6 @@ pub fn inspect(bytes: &[u8]) -> Result<ArtifactInfo, ArtifactError> {
     })
 }
 
-fn decode_analysis(
-    r: &mut Reader<'_>,
-    n_places: usize,
-    n_trans: usize,
-) -> Result<Analysis, ArtifactError> {
-    let order = r.places(n_places)?;
-    let n = r.count()?;
-    let two_list = (0..n).map(|_| r.bool()).collect::<Result<Vec<_>, _>>()?;
-    let n = r.count()?;
-    let sorted = (0..n)
-        .map(|_| Ok(r.tids(n_trans)?.into_boxed_slice()))
-        .collect::<Result<Vec<_>, ArtifactError>>()?;
-    let n = r.count()?;
-    let by_place = (0..n)
-        .map(|_| Ok(r.tids(n_trans)?.into_boxed_slice()))
-        .collect::<Result<Vec<_>, ArtifactError>>()?;
-    Ok(Analysis {
-        order,
-        two_list,
-        sorted,
-        by_place,
-        n_classes: r.u32()? as usize,
-        flow_cycle_places: r.u32()? as usize,
-        feedback_places: r.u32()? as usize,
-    })
-}
-
-#[allow(clippy::too_many_lines)]
-fn decode_plan(
-    r: &mut Reader<'_>,
-    n_places: usize,
-    n_trans: usize,
-) -> Result<ExecPlan, ArtifactError> {
-    let order = r.places(n_places)?;
-    let fixpoint = r.bool()?;
-    let res_places = r.places(n_places)?;
-    let lookup = match r.u8()? {
-        0 => {
-            let flat = r.u32s()?;
-            let n = r.count()?;
-            let span = (0..n)
-                .map(|_| Ok((r.u32()?, r.u16()?)))
-                .collect::<Result<Vec<_>, ArtifactError>>()?;
-            let n_classes = r.u32()? as usize;
-            Lookup::PerPlaceClass { flat, span, n_classes }
-        }
-        1 => {
-            let flat = r.u32s()?;
-            let n = r.count()?;
-            let span = (0..n)
-                .map(|_| Ok((r.u32()?, r.u16()?)))
-                .collect::<Result<Vec<_>, ArtifactError>>()?;
-            Lookup::PerPlace { flat, span }
-        }
-        2 => Lookup::FullScan { order: r.u32s()? },
-        t => return Err(r.corrupt(format!("lookup tag {t}"))),
-    };
-    let subnet_of_class = r.u32s()?;
-    let subnet_of_trans = r.u32s()?;
-    let input_of_trans = r.u32s()?;
-    let n = r.count()?;
-    let dependents = (0..n)
-        .map(|_| Ok(r.tids(n_trans)?.into_boxed_slice()))
-        .collect::<Result<Vec<_>, ArtifactError>>()?;
-    let n = r.count()?;
-    let hot = (0..n)
-        .map(|_| {
-            Ok(HotTrans {
-                dest: r.u32()?,
-                dest_stage: r.u32()?,
-                cap_exempt: r.bool()?,
-                dest_is_end: r.bool()?,
-                base_ready: r.u64()?,
-                tdelay: r.u64()?,
-                cap: r.u32()?,
-                has_guard: r.bool()?,
-                has_action: r.bool()?,
-                has_extra: r.bool()?,
-                has_res: r.bool()?,
-            })
-        })
-        .collect::<Result<Vec<_>, ArtifactError>>()?;
-    let n = r.count()?;
-    let hot_place = (0..n)
-        .map(|_| {
-            Ok(HotPlace {
-                stage: r.u32()?,
-                two_list: r.bool()?,
-                delay: r.u64()?,
-                cap: r.u32()?,
-                is_end: r.bool()?,
-                n_dependents: r.u32()?,
-            })
-        })
-        .collect::<Result<Vec<_>, ArtifactError>>()?;
-    let n = r.count()?;
-    let hot_source = (0..n)
-        .map(|_| Ok(HotSource { dest: r.u32()?, width: r.u32()? }))
-        .collect::<Result<Vec<_>, ArtifactError>>()?;
-    let n = r.count()?;
-    let dispatch = (0..n)
-        .map(|_| {
-            let guard = match r.u8()? {
-                0 => GuardCode::None,
-                1 => GuardCode::Closure,
-                2 => GuardCode::Prog(r.u32()?),
-                3 => GuardCode::Fused { fwd_mask: r.u64()? },
-                t => return Err(r.corrupt(format!("guard-code tag {t}"))),
-            };
-            let action = match r.u8()? {
-                0 => ActionCode::None,
-                1 => ActionCode::Closure,
-                2 => ActionCode::Prog(r.u32()?),
-                t => return Err(r.corrupt(format!("action-code tag {t}"))),
-            };
-            Ok(HotDispatch { guard, action })
-        })
-        .collect::<Result<Vec<_>, ArtifactError>>()?;
-    let n = r.count()?;
-    let programs = (0..n).map(|_| r.program(n_places)).collect::<Result<Vec<_>, _>>()?;
-    let n_stages = r.u32()? as usize;
-    let sb_index = r.u32s()?;
-    let n = r.count()?;
-    let sb_blocks = (0..n)
-        .map(|_| {
-            Ok(SbBlock {
-                tid: r.u32()?,
-                guard: (r.u32()?, r.u32()?),
-                action: (r.u32()?, r.u32()?),
-                fused: match r.u8()? {
-                    0 => None,
-                    1 => Some(r.u64()?),
-                    t => return Err(r.corrupt(format!("fused tag {t}"))),
-                },
-                dest: r.u32()?,
-                dest_stage: r.u32()?,
-                dest_is_end: r.bool()?,
-                cap_exempt: r.bool()?,
-                cap: r.u32()?,
-                base_ready: r.u64()?,
-                tdelay: r.u64()?,
-            })
-        })
-        .collect::<Result<Vec<_>, ArtifactError>>()?;
-    let n = r.count()?;
-    let sb_ops = (0..n).map(|_| r.micro_op(n_places)).collect::<Result<Vec<_>, _>>()?;
-    let sb_classes = r.u32()? as usize;
-
-    Ok(ExecPlan {
-        order,
-        fixpoint,
-        res_places,
-        lookup,
-        subnet_of_class,
-        subnet_of_trans,
-        input_of_trans,
-        dependents,
-        hot,
-        hot_place,
-        hot_source,
-        dispatch,
-        programs,
-        n_stages,
-        sb_index,
-        sb_blocks,
-        sb_ops,
-        sb_classes,
-    })
-}
-
-/// Cross-table sanity of a decoded plan against its decoded model. The
-/// run loop indexes its tables without bounds checks it could report, and
-/// the payload checksum is unkeyed (anyone can reseal an edited file), so
-/// every table length and every index the loop dereferences is checked
-/// here: a forged-but-checksummed file is refused with a typed error
-/// instead of panicking the first engine instantiated from it.
-fn check_plan<D, R>(plan: &ExecPlan, model: &Model<D, R>) -> Result<(), String> {
-    let (n_places, n_trans, n_stages) =
-        (model.place_count(), model.transition_count(), model.stage_count());
-    let n_classes = model.op_class_count();
-    for (what, found, expected) in [
-        ("hot", plan.hot.len(), n_trans),
-        ("dispatch", plan.dispatch.len(), n_trans),
-        ("hot_place", plan.hot_place.len(), n_places),
-        ("hot_source", plan.hot_source.len(), model.source_count()),
-        ("stage table", plan.n_stages, n_stages),
-        ("dependents", plan.dependents.len(), n_places),
-        ("subnet_of_class", plan.subnet_of_class.len(), n_classes),
-        ("subnet_of_trans", plan.subnet_of_trans.len(), n_trans),
-        ("input_of_trans", plan.input_of_trans.len(), n_trans),
-    ] {
-        if found != expected {
-            return Err(format!("{what} has {found} entries, the model needs {expected}"));
-        }
-    }
-    let ensure =
-        |ok: bool, what: &str| if ok { Ok(()) } else { Err(format!("{what} out of range")) };
-    let below = |i: u32, n: usize| (i as usize) < n;
-    ensure(plan.input_of_trans.iter().all(|&p| below(p, n_places)), "input_of_trans place")?;
-    ensure(
-        plan.hot.iter().all(|h| below(h.dest, n_places) && below(h.dest_stage, n_stages)),
-        "transition destination",
-    )?;
-    ensure(plan.hot_place.iter().all(|p| below(p.stage, n_stages)), "place stage")?;
-    ensure(plan.hot_source.iter().all(|s| below(s.dest, n_places)), "source destination")?;
-    let (flat, span, rows): (&[u32], &[(u32, u16)], usize) = match &plan.lookup {
-        Lookup::PerPlaceClass { flat, span, n_classes: stride } => {
-            ensure(*stride == n_classes, "lookup class stride")?;
-            (flat, span, n_places * stride)
-        }
-        Lookup::PerPlace { flat, span } => (flat, span, n_places),
-        Lookup::FullScan { order } => (order, &[], 0),
-    };
-    ensure(
-        span.len() >= rows && span.iter().all(|&(a, n)| a as usize + usize::from(n) <= flat.len()),
-        "lookup span",
-    )?;
-    ensure(flat.iter().all(|&t| below(t, n_trans)), "lookup transition")?;
-
-    // Dispatch codes must agree with the model's closures and flags, and
-    // program ops with the slot that runs them (the interpreters treat
-    // anything else as unreachable).
-    let program_ok = |i: u32, guard: bool| {
-        let hooks = if guard { model.hooks.guards.len() } else { model.hooks.actions.len() };
-        below(i, plan.programs.len())
-            && plan.programs[i as usize].ops().iter().all(|op| match *op {
-                MicroOp::CallHook(h) => below(h, hooks),
-                MicroOp::ReserveRes { place, .. } => {
-                    !guard && plan.res_places.binary_search(&place).is_ok()
-                }
-                _ => (guard && op.is_guard_op()) || (!guard && op.is_action_op()),
-            })
-    };
-    for ((d, h), t) in plan.dispatch.iter().zip(&plan.hot).zip(&model.transitions) {
-        let guard_ok = match d.guard {
-            GuardCode::Closure => matches!(t.guard, Some(GuardKind::Closure(_))),
-            GuardCode::Prog(i) => program_ok(i, true),
-            GuardCode::None | GuardCode::Fused { .. } => true,
-        };
-        let action_ok = match d.action {
-            ActionCode::Closure => matches!(t.action, Some(ActionKind::Closure(_))),
-            ActionCode::Prog(i) => program_ok(i, false),
-            ActionCode::None => true,
-        };
-        if !guard_ok || !action_ok || h.has_guard != (d.guard != GuardCode::None) {
-            return Err(format!("transition {:?}: dispatch codes disagree with the model", t.name));
-        }
-    }
-
-    for b in &plan.sb_blocks {
-        let ops = |(a, z): (u32, u32)| plan.sb_ops.get(a as usize..z as usize);
-        let (Some(guard), Some(action)) = (ops(b.guard), ops(b.action)) else {
-            return Err("superblock op range out of range".to_string());
-        };
-        ensure(
-            below(b.tid, n_trans)
-                && below(b.dest, n_places)
-                && below(b.dest_stage, n_stages)
-                && guard
-                    .iter()
-                    .all(|op| matches!(op, MicroOp::CheckReady { .. } | MicroOp::CheckCond { .. }))
-                && action.iter().all(|op| op.is_superblock_op() && op.is_action_op()),
-            "superblock",
-        )?;
-    }
-    ensure(
-        plan.sb_index.iter().all(|&i| i == u32::MAX || below(i, plan.sb_blocks.len())),
-        "sb_index",
-    )
-}
-
 impl<D: InstrData, R> CompiledModel<D, R> {
     /// Serializes this compiled model into the versioned artifact
     /// encoding, stamped with `spec_hash` (see
@@ -1459,7 +999,6 @@ impl<D: InstrData, R> CompiledModel<D, R> {
             Ok(())
         })?;
         encode_model(&mut w, &self.model)?;
-        encode_plan(&mut w, &self.plan)?;
         let payload = w.buf;
         let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
         out.extend_from_slice(&MAGIC);
@@ -1489,9 +1028,11 @@ impl<D: InstrData, R> CompiledModel<D, R> {
         std::fs::rename(&tmp, path).map_err(io_err)
     }
 
-    /// Reconstructs a compiled model from artifact bytes, rebuilding every
-    /// named closure through `registry`, without recompiling anything:
-    /// the decoded `ExecPlan` tables are used as stored.
+    /// Reconstructs a compiled model from artifact bytes: decodes the
+    /// stored model definition, rebuilds every named closure through
+    /// `registry`, validates the result with [`ModelBuilder::build`] and
+    /// regenerates the tables with [`CompiledModel::compile_with`] under
+    /// the stored engine config.
     ///
     /// `expected_spec_hash`, when given, must match the hash stamped into
     /// the header — the caller's proof the artifact belongs to the spec it
@@ -1501,7 +1042,9 @@ impl<D: InstrData, R> CompiledModel<D, R> {
     ///
     /// Every [`ArtifactError`] variant except `UnnamedClosure`: bad magic,
     /// version or spec-hash mismatch, checksum failure, truncation,
-    /// structural corruption, unknown hook keys, trailing bytes.
+    /// structural corruption (a model `build()` rejects is
+    /// `Corrupt { section: "model" }` with the build error's message),
+    /// unknown hook keys, trailing bytes.
     pub fn from_artifact_bytes(
         bytes: &[u8],
         expected_spec_hash: Option<u64>,
@@ -1636,7 +1179,6 @@ impl<D: InstrData, R> CompiledModel<D, R> {
                 action_name,
             });
         }
-        let n_trans = transitions.len();
 
         let r = &mut Reader::new(body(SEC_SOURCES), "sources");
         let n = r.count()?;
@@ -1676,11 +1218,9 @@ impl<D: InstrData, R> CompiledModel<D, R> {
             t => return Err(r.corrupt(format!("squash tag {t}"))),
         };
 
-        let analysis =
-            decode_analysis(&mut Reader::new(body(SEC_ANALYSIS), "analysis"), n_places, n_trans)?;
-        let plan = decode_plan(&mut Reader::new(body(SEC_PLAN), "plan"), n_places, n_trans)?;
-
-        let model = Model {
+        // The stored definition passes the same validation and the same
+        // generator as a model built in code: nothing derived is trusted.
+        let builder = ModelBuilder {
             stages,
             places,
             transitions,
@@ -1688,13 +1228,15 @@ impl<D: InstrData, R> CompiledModel<D, R> {
             subnets,
             classes,
             hooks,
-            analysis,
+            end_stage: StageId::from_index(0),
+            end_place: PlaceId::from_index(0),
             squash_handler,
             squash_name,
         };
-        check_plan(&plan, &model)
-            .map_err(|detail| ArtifactError::Corrupt { section: "plan", detail })?;
-        Ok(CompiledModel { model: Arc::new(model), plan: Arc::new(plan), cfg })
+        let model = builder
+            .build()
+            .map_err(|e| ArtifactError::Corrupt { section: "model", detail: e.to_string() })?;
+        Ok(CompiledModel::compile_with(model, cfg))
     }
 
     /// Reads and decodes an artifact file; see
@@ -1849,6 +1391,8 @@ impl ArtifactCache {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
 
     #[test]
@@ -1872,7 +1416,10 @@ mod tests {
                 "built from spec 0x0000000000000abc",
             ),
             (ArtifactError::Checksum { computed: 1, stored: 2 }, "checksum mismatch"),
-            (ArtifactError::Truncated { section: "plan" }, "truncated inside the plan section"),
+            (
+                ArtifactError::Truncated { section: "sources" },
+                "truncated inside the sources section",
+            ),
             (
                 ArtifactError::Corrupt { section: "hooks", detail: "bool byte 0x07".into() },
                 "hooks section is corrupt: bool byte 0x07",
@@ -1921,62 +1468,57 @@ mod tests {
         r
     }
 
-    /// Edits the compiled plan, encodes it through the ordinary encoder
-    /// (so the checksum is valid) and decodes it again.
-    fn forge(edit: impl FnOnce(&mut ExecPlan)) -> Result<CompiledModel<Tok, ()>, ArtifactError> {
+    /// Edits the model, encodes it through the ordinary encoder (so the
+    /// checksum is valid) and decodes it again.
+    fn forge(
+        edit: impl FnOnce(&mut Model<Tok, ()>),
+    ) -> Result<CompiledModel<Tok, ()>, ArtifactError> {
         let CompiledModel { model, plan, cfg } = two_latch();
-        let mut plan = Arc::try_unwrap(plan).expect("freshly compiled plan has one owner");
-        edit(&mut plan);
-        let forged = CompiledModel { model, plan: Arc::new(plan), cfg };
-        let bytes = forged.to_artifact_bytes(7).expect("forged plan encodes");
+        let mut model = Arc::try_unwrap(model).expect("freshly compiled model has one owner");
+        edit(&mut model);
+        let forged = CompiledModel { model: Arc::new(model), plan, cfg };
+        let bytes = forged.to_artifact_bytes(7).expect("forged model encodes");
         CompiledModel::from_artifact_bytes(&bytes, Some(7), &registry())
     }
 
-    /// A resealed artifact whose plan indexes past the model's tables
-    /// must be refused at decode time, not accepted and then panic the
-    /// engine built from it.
+    /// A resealed artifact whose model breaks a rule of
+    /// [`ModelBuilder::build`] must be refused with that rule's message,
+    /// not compiled and simulated.
     #[test]
-    fn forged_plan_indices_are_corrupt_not_a_panic() {
-        let clean = forge(|_| {}).expect("unedited plan decodes");
-        assert!(!clean.plan.sb_blocks.is_empty(), "the test net must form superblocks");
+    fn forged_models_are_corrupt_not_simulated() {
+        let clean = forge(|_| {}).expect("unedited model decodes");
         let mut e =
             clean.instantiate(crate::model::Machine::new(crate::reg::RegisterFile::new(), ()));
         e.run(20);
-        assert!(e.stats().retired > 0, "the unedited plan simulates");
+        assert!(e.stats().retired > 0, "the unedited model simulates");
 
-        type Edit = fn(&mut ExecPlan);
+        type Edit = fn(&mut Model<Tok, ()>);
+        fn guard(ops: Vec<MicroOp>) -> Option<GuardKind<Tok, ()>> {
+            Some(GuardKind::Ir(Program::new(ops)))
+        }
         let cases: Vec<(&str, Edit)> = vec![
-            ("n_stages = 0", |p| p.n_stages = 0),
-            ("source dest", |p| p.hot_source[0].dest = 99),
-            ("transition dests", |p| p.hot.iter_mut().for_each(|h| h.dest = 99)),
-            ("transition dest_stage", |p| p.hot[0].dest_stage = 99),
-            ("superblock dests", |p| p.sb_blocks.iter_mut().for_each(|b| b.dest = 99)),
-            ("superblock dest_stage", |p| p.sb_blocks[0].dest_stage = 99),
-            ("place stage", |p| p.hot_place[0].stage = 99),
-            ("short hot", |p| p.hot.truncate(1)),
-            ("short dispatch", |p| p.dispatch.truncate(1)),
-            ("short hot_place", |p| p.hot_place.truncate(1)),
-            ("no hot_source", |p| p.hot_source.clear()),
-            ("input_of_trans", |p| p.input_of_trans[0] = 99),
-            ("short subnet_of_class", |p| p.subnet_of_class.clear()),
-            ("short subnet_of_trans", |p| p.subnet_of_trans.truncate(1)),
-            ("lookup span", |p| {
-                let Lookup::PerPlaceClass { span, .. } = &mut p.lookup else { unreachable!() };
-                span[0] = (u32::MAX, 1);
+            ("capacity zero", |m| m.stages[1].capacity = 0),
+            ("share priority", |m| {
+                let (input, priority) = (m.transitions[0].input, m.transitions[0].priority);
+                m.transitions[1].input = input;
+                m.transitions[1].priority = priority;
             }),
-            ("lookup entry", |p| {
-                let Lookup::PerPlaceClass { flat, .. } = &mut p.lookup else { unreachable!() };
-                flat[0] = 99;
+            ("non-guard op WriteBack", |m| {
+                m.transitions[0].guard = guard(vec![MicroOp::WriteBack])
             }),
-            ("sb_index entry", |p| p.sb_index[0] = p.sb_blocks.len() as u32),
-            ("closure guard code", |p| p.dispatch[0].guard = GuardCode::Closure),
-            ("has_guard flag", |p| p.hot[0].has_guard = !p.hot[0].has_guard),
+            ("calls hook 5", |m| m.transitions[0].guard = guard(vec![MicroOp::CallHook(5)])),
+            ("requires a CheckReady", |m| {
+                let acquire = MicroOp::AcquireOperands { fwd_mask: 1 };
+                m.transitions[0].action = Some(ActionKind::Ir(Program::new(vec![acquire])));
+            }),
         ];
-        for (what, edit) in cases {
+        for (needle, edit) in cases {
             match forge(edit) {
-                Err(ArtifactError::Corrupt { section: "plan", .. }) => {}
+                Err(ArtifactError::Corrupt { section: "model", detail }) => {
+                    assert!(detail.contains(needle), "{needle}: detail {detail:?}");
+                }
                 other => {
-                    panic!("{what}: expected a plan Corrupt error, got {:?}", other.map(|_| ()))
+                    panic!("{needle}: expected a model Corrupt error, got {:?}", other.map(|_| ()))
                 }
             }
         }

@@ -58,17 +58,17 @@ use crate::model::{
 /// Builder for [`Model`]. See the [module documentation](self) for an
 /// example.
 pub struct ModelBuilder<D, R> {
-    stages: Vec<StageDef>,
-    places: Vec<PlaceDef>,
-    transitions: Vec<TransitionDef<D, R>>,
-    sources: Vec<SourceDef<D, R>>,
-    subnets: Vec<SubnetDef>,
-    classes: Vec<OpClassDef>,
-    hooks: Hooks<D, R>,
-    end_stage: StageId,
-    end_place: PlaceId,
-    squash_handler: Option<crate::model::SquashHandler<D, R>>,
-    squash_name: Option<NamedHook>,
+    pub(crate) stages: Vec<StageDef>,
+    pub(crate) places: Vec<PlaceDef>,
+    pub(crate) transitions: Vec<TransitionDef<D, R>>,
+    pub(crate) sources: Vec<SourceDef<D, R>>,
+    pub(crate) subnets: Vec<SubnetDef>,
+    pub(crate) classes: Vec<OpClassDef>,
+    pub(crate) hooks: Hooks<D, R>,
+    pub(crate) end_stage: StageId,
+    pub(crate) end_place: PlaceId,
+    pub(crate) squash_handler: Option<crate::model::SquashHandler<D, R>>,
+    pub(crate) squash_name: Option<NamedHook>,
 }
 
 impl<D, R> ModelBuilder<D, R> {
@@ -340,6 +340,15 @@ impl<D, R> ModelBuilder<D, R> {
             }
             for r in &t.reservations {
                 check_place(i, &t.name, r.place)?;
+            }
+        }
+        for (i, s) in self.sources.iter().enumerate() {
+            if s.dest.index() >= n_places {
+                return Err(BuildError::UnknownSourcePlace {
+                    source: SourceId::from_index(i),
+                    source_name: s.name.clone(),
+                    place: s.dest,
+                });
             }
         }
 
@@ -810,6 +819,28 @@ mod tests {
         b.stage("X", 2);
         b.class_net("c");
         assert!(matches!(b.build().unwrap_err(), BuildError::DuplicateName { kind: "stage", .. }));
+    }
+
+    #[test]
+    fn source_into_an_undeclared_place_is_an_error() {
+        let mut b = ModelBuilder::<Tok, ()>::new();
+        let s1 = b.stage("L1", 1);
+        let p1 = b.place("P1", s1);
+        let end = b.end_place();
+        let (c, _) = b.class_net("Only");
+        b.transition(c, "retire").from(p1).to(end).done();
+        let bogus = PlaceId::from_index(99);
+        b.source("s").to(bogus).produce(move |_m, _fx| Some(Tok(c))).done();
+        let err = b.build().unwrap_err();
+        assert_eq!(
+            err,
+            BuildError::UnknownSourcePlace {
+                source: SourceId::from_index(0),
+                source_name: "s".to_string(),
+                place: bogus,
+            }
+        );
+        assert_eq!(err.to_string(), "source F0 (\"s\") deposits into undeclared place P99");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::ids::{OpClassId, PlaceId, StageId, SubnetId, TransitionId};
+use crate::ids::{OpClassId, PlaceId, SourceId, StageId, SubnetId, TransitionId};
 
 /// An error produced while building or validating an RCPN model.
 ///
@@ -30,6 +30,16 @@ pub enum BuildError {
         transition: TransitionId,
         /// The offending transition's name.
         transition_name: String,
+        /// The undeclared place id.
+        place: PlaceId,
+    },
+    /// A source transition deposits into a place id that was never
+    /// declared.
+    UnknownSourcePlace {
+        /// The source with the dangling destination.
+        source: SourceId,
+        /// The offending source's name.
+        source_name: String,
         /// The undeclared place id.
         place: PlaceId,
     },
@@ -126,6 +136,12 @@ impl fmt::Display for BuildError {
                     f,
                     "transition {transition} ({transition_name:?}) refers to undeclared place \
                      {place}"
+                )
+            }
+            BuildError::UnknownSourcePlace { source, source_name, place } => {
+                write!(
+                    f,
+                    "source {source} ({source_name:?}) deposits into undeclared place {place}"
                 )
             }
             BuildError::MissingDestination { transition } => {

@@ -33,8 +33,8 @@ pub const UNLIMITED: u32 = u32::MAX;
 /// Spec-lowered closures capture per-step context — the forwarding window,
 /// the flush set, the step's input/destination places. When such a closure
 /// is registered under a stable name, that captured context is recorded
-/// here so the registry factory can rebuild an equivalent closure on
-/// reload without recompiling anything.
+/// here so the registry factory can rebuild an equivalent closure when
+/// the model is loaded back from an artifact.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HookArgs {
     /// Places the closure reads forwarded results from (the step's

@@ -3,7 +3,7 @@
 //! Two halves:
 //!
 //! * **Golden fixture** — a committed encoded artifact
-//!   (`tests/fixtures/golden-v3.rcpn`) for a fixed spec + config. Any
+//!   (`tests/fixtures/golden-v4.rcpn`) for a fixed spec + config. Any
 //!   change to the wire encoding that is not accompanied by a
 //!   [`FORMAT_VERSION`] bump fails loudly here, and the *committed*
 //!   bytes (not a fresh encode) must still decode and simulate the
@@ -157,7 +157,7 @@ fn decode(bytes: &[u8], expected: Option<u64>) -> Result<CompiledModel<Tok, Feed
 // Golden fixture
 // ---------------------------------------------------------------------
 
-const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/golden-v3.rcpn");
+const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/golden-v4.rcpn");
 /// [`PipelineSpec::content_hash`] of [`golden_spec`] at bless time.
 const GOLDEN_SPEC_HASH: u64 = 0x7af9_d0ff_66dd_59a5;
 /// FNV-1a over the `Debug` rendering of every trace event, one per line.

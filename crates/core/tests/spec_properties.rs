@@ -544,7 +544,7 @@ proptest! {
     /// `SchedStats` and architectural registers; the raw counters prove
     /// each variant ran its own path.
     #[test]
-    fn random_specs_chains_superblock_per_op_and_closures_bit_identically(
+    fn random_specs_superblock_per_op_and_closures_bit_identically(
         n_stages in 2usize..=5,
         caps in proptest::collection::vec(1u32..=2, 1..=3),
         forward in any::<bool>(),
@@ -614,7 +614,8 @@ proptest! {
 
 proptest! {
     // Each case compiles, encodes, decodes twice and simulates three
-    // times per {table mode × scheduler} cell; fewer cases keep the
+    // times per engine config (six {table mode × scheduler} cells plus
+    // two-list everywhere and per-op dispatch); fewer cases keep the
     // suite's runtime in line with the other differentials.
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -622,7 +623,8 @@ proptest! {
     /// spec, a fresh compile, a reload of its artifact, and a reload of
     /// the reloaded model's *re-encoded* artifact must simulate
     /// bit-identically (trace, `Stats`, `SchedStats`, architectural
-    /// registers) under every table mode and both schedulers — and the
+    /// registers) under every table mode and both schedulers, with
+    /// two-list everywhere and with superblocks off — and the
     /// re-encoded bytes must equal the original encoding, pinning the
     /// codec as deterministic and lossless.
     #[test]
@@ -645,53 +647,48 @@ proptest! {
         };
         let registry = roundtrip_registry();
         let spec_hash = build_named_reg_spec(&shape).content_hash();
+        let traced = EngineConfig { trace: true, ..Default::default() };
+        let mut cfgs = Vec::new();
         for table_mode in [TableMode::PerPlaceClass, TableMode::PerPlace, TableMode::FullScan] {
             for scheduler in [SchedulerMode::ActivityDriven, SchedulerMode::Exhaustive] {
-                let cfg = EngineConfig { table_mode, scheduler, trace: true, ..Default::default() };
-                let model =
-                    build_named_reg_spec(&shape).lower().expect("named reg spec lowers");
-                let fresh = CompiledModel::compile_with(model, cfg);
-                let bytes =
-                    fresh.to_artifact_bytes(spec_hash).expect("fully named model serializes");
-                let reloaded =
-                    CompiledModel::from_artifact_bytes(&bytes, Some(spec_hash), &registry)
-                        .expect("artifact decodes");
-                let rebytes =
-                    reloaded.to_artifact_bytes(spec_hash).expect("reloaded model re-encodes");
+                cfgs.push(EngineConfig { table_mode, scheduler, ..traced.clone() });
+            }
+        }
+        // The loader re-applies these switches when it recompiles.
+        cfgs.push(EngineConfig { two_list_everywhere: true, ..traced.clone() });
+        cfgs.push(EngineConfig { superblocks: false, ..traced });
+        for cfg in cfgs {
+            let model = build_named_reg_spec(&shape).lower().expect("named reg spec lowers");
+            let fresh = CompiledModel::compile_with(model, cfg.clone());
+            let bytes = fresh.to_artifact_bytes(spec_hash).expect("fully named model serializes");
+            let reloaded = CompiledModel::from_artifact_bytes(&bytes, Some(spec_hash), &registry)
+                .expect("artifact decodes");
+            let rebytes = reloaded.to_artifact_bytes(spec_hash).expect("reloaded model re-encodes");
+            prop_assert_eq!(
+                &bytes, &rebytes,
+                "re-encoding a reloaded artifact must be byte-identical ({:?})", cfg
+            );
+            let rereloaded =
+                CompiledModel::from_artifact_bytes(&rebytes, Some(spec_hash), &registry)
+                    .expect("re-encoded artifact decodes");
+            let mut runs = Vec::new();
+            for compiled in [&fresh, &reloaded, &rereloaded] {
+                let mut e = compiled.instantiate(reg_machine(&shape));
+                e.run(120);
+                let regs: Vec<u32> =
+                    (0..4).map(|i| e.machine().regs.value_of(RegId::from_index(i))).collect();
+                runs.push((e.take_trace(), e.stats().clone(), e.sched().clone(), regs));
+            }
+            let fresh_run = &runs[0];
+            for (name, run) in [("reload", &runs[1]), ("re-reload", &runs[2])] {
+                prop_assert_eq!(&fresh_run.0, &run.0, "fresh vs {}: trace ({:?})", name, cfg);
+                prop_assert_eq!(&fresh_run.1, &run.1, "fresh vs {}: Stats", name);
+                prop_assert_eq!(&fresh_run.2, &run.2, "fresh vs {}: SchedStats", name);
                 prop_assert_eq!(
-                    &bytes, &rebytes,
-                    "re-encoding a reloaded artifact must be byte-identical ({:?}/{:?})",
-                    table_mode, scheduler
+                    fresh_run.2.dispatch_normalized(), run.2.dispatch_normalized(),
+                    "fresh vs {}: normalized SchedStats", name
                 );
-                let rereloaded =
-                    CompiledModel::from_artifact_bytes(&rebytes, Some(spec_hash), &registry)
-                        .expect("re-encoded artifact decodes");
-                let mut runs = Vec::new();
-                for compiled in [&fresh, &reloaded, &rereloaded] {
-                    let mut e = compiled.instantiate(reg_machine(&shape));
-                    e.run(120);
-                    let regs: Vec<u32> = (0..4)
-                        .map(|i| e.machine().regs.value_of(RegId::from_index(i)))
-                        .collect();
-                    runs.push((e.take_trace(), e.stats().clone(), e.sched().clone(), regs));
-                }
-                let fresh_run = &runs[0];
-                for (name, run) in [("reload", &runs[1]), ("re-reload", &runs[2])] {
-                    prop_assert_eq!(
-                        &fresh_run.0, &run.0,
-                        "fresh vs {}: trace ({:?}/{:?})", name, table_mode, scheduler
-                    );
-                    prop_assert_eq!(&fresh_run.1, &run.1, "fresh vs {}: Stats", name);
-                    prop_assert_eq!(&fresh_run.2, &run.2, "fresh vs {}: SchedStats", name);
-                    prop_assert_eq!(
-                        fresh_run.2.dispatch_normalized(), run.2.dispatch_normalized(),
-                        "fresh vs {}: normalized SchedStats", name
-                    );
-                    prop_assert_eq!(
-                        &fresh_run.3, &run.3,
-                        "fresh vs {}: architectural state", name
-                    );
-                }
+                prop_assert_eq!(&fresh_run.3, &run.3, "fresh vs {}: architectural state", name);
             }
         }
     }

@@ -178,8 +178,9 @@ impl CompiledSim {
 
     /// Decodes a [`CompiledSim`] from an artifact file previously written
     /// by [`CompiledSim::save`] (or the cache), for `(model, config)`.
-    /// Nothing is recompiled; the artifact's spec hash must match the
-    /// model description this build would produce.
+    /// No spec is lowered: the stored model is validated and its tables
+    /// regenerated. The artifact's spec hash must match the model
+    /// description this build would produce.
     ///
     /// # Errors
     ///

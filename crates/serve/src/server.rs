@@ -131,9 +131,9 @@ pub struct Server {
 impl Server {
     /// Binds the listener and warms one compiled simulator per
     /// [`ProcModel::ALL`] registry variant (through the artifact cache
-    /// when one is configured — a warm restart reloads instead of
-    /// recompiling). Compilation happens here, exactly once per model;
-    /// serving jobs never compiles.
+    /// when one is configured — a warm restart loads each model from its
+    /// artifact instead of lowering its spec). Compilation happens here,
+    /// exactly once per model; serving jobs never compiles.
     ///
     /// # Errors
     ///

@@ -6,7 +6,7 @@
 //! bit-identical to an in-process `CompiledSim::run_batch` of the same
 //! program — and the server compiles each model exactly once, at bind
 //! time (cache counters stay frozen while jobs run; a warm restart
-//! reloads instead of recompiling).
+//! loads every model from the cache).
 
 use std::path::PathBuf;
 
@@ -108,7 +108,7 @@ fn served_results_bit_identical_to_run_batch_for_every_registry_model() {
     assert_eq!(
         restarted.cache_counters(),
         (ProcModel::ALL.len() as u64, 0, 0),
-        "warm restart hits the cache for every model, recompiling none"
+        "warm restart hits the cache for every model, lowering no spec"
     );
     drop(restarted);
     let _ = std::fs::remove_dir_all(&dir);

@@ -1,5 +1,6 @@
-//! Compile a generated ARM simulator once, persist it as an artifact,
-//! and reload it from the content-addressed cache — no recompilation.
+//! Compile a generated ARM simulator once, persist its model as an
+//! artifact, and load it back from the content-addressed cache — no spec
+//! lowering; loading regenerates the simulator from the stored model.
 //!
 //! ```text
 //! cargo run --release --example artifact_cache [cache-dir]

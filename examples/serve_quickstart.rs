@@ -17,8 +17,8 @@ use workloads::Workload;
 fn main() {
     // Bind on an ephemeral port; this compiles (warms) every registry
     // model exactly once. Pass `cache_dir: Some(..)` to warm from an
-    // artifact cache instead — a restart then reloads rather than
-    // recompiles.
+    // artifact cache instead — a restart then loads the stored models
+    // rather than lowering their specs.
     let server =
         Server::bind(ServeConfig { workers: 2, ..ServeConfig::default() }).expect("bind server");
     let addr = server.local_addr();
