@@ -33,18 +33,19 @@
 //! place every cycle even when most of the pipeline is quiescent (drained
 //! bubbles, tokens parked on multi-cycle latencies). The default
 //! [`SchedulerMode::ActivityDriven`] scheduler makes that sweep sparse
-//! with a dirty-place worklist built on three per-place facts maintained
+//! with a dirty-place worklist built on three per-place facts, kept in
+//! each place's run-time header beside its resident lists and maintained
 //! incrementally by every token movement:
 //!
-//! * `n_instr[p]` — live instruction tokens resident in `p`;
-//! * `wake[p]` — a lower bound on the earliest cycle at which any token in
-//!   `p` can enable a transition (min token `ready_at`; a token that was
-//!   ready but found no enabled transition re-arms `wake` to the next
-//!   cycle, because capacity, guards, or join inputs may change);
-//! * `res_wake[p]` — the earliest reservation expiry in `p`.
+//! * `n_instr` — live instruction tokens resident in the place;
+//! * `wake` — a lower bound on the earliest cycle at which any token in
+//!   the place can enable a transition (min token `ready_at`; a token
+//!   that was ready but found no enabled transition re-arms `wake` to the
+//!   next cycle, because capacity, guards, or join inputs may change);
+//! * `res_wake` — the earliest reservation expiry in the place.
 //!
-//! A place is processed in a cycle only when `n_instr[p] > 0` and
-//! `wake[p]` has arrived; latch commits walk a dirty list of two-list
+//! A place is processed in a cycle only when `n_instr > 0` and `wake`
+//! has arrived; latch commits walk a dirty list of two-list
 //! places with pending tokens, and reservation expiry walks only places
 //! whose earliest expiry has arrived. Skipped work is *provably* a no-op:
 //! a place is skipped only when every resident instruction token is still
@@ -77,7 +78,7 @@
 use std::sync::Arc;
 
 use crate::compiled::{ActionCode, CompiledModel, ExecPlan, GuardCode, HotTrans, Lookup, SbBlock};
-use crate::ids::{PlaceId, SourceId, TokenId, TransitionId};
+use crate::ids::{OpClassId, PlaceId, SourceId, TokenId, TransitionId};
 use crate::ir::{self, MicroOp};
 use crate::model::{ActionKind, Fx, GuardKind, Machine, Model};
 use crate::stats::{SchedStats, Stats};
@@ -231,18 +232,9 @@ pub struct Engine<D: InstrData, R> {
 struct EngineState<D: InstrData, R> {
     machine: Machine<R>,
     pool: TokenPool<D>,
-    live: Vec<Vec<TokenId>>,
-    pending: Vec<Vec<TokenId>>,
+    /// One run-time header per place, indexed by place.
+    places: Vec<PlaceRt>,
     stage_occ: Vec<u32>,
-    /// Live instruction tokens per place (activity criterion).
-    n_instr: Vec<u32>,
-    /// Live reservation tokens per place (expiry-scan criterion).
-    n_res: Vec<u32>,
-    /// Earliest cycle at which a place may need processing; `u64::MAX`
-    /// when nothing resident can ever become ready without new arrivals.
-    wake: Vec<u64>,
-    /// Earliest reservation expiry per place; `u64::MAX` when none.
-    res_wake: Vec<u64>,
     /// Two-list places with tokens written this cycle (the latch-commit
     /// worklist; may hold stale/duplicate entries, resolved at commit).
     pending_dirty: Vec<u32>,
@@ -252,7 +244,7 @@ struct EngineState<D: InstrData, R> {
     halted: bool,
     cycle: u64,
     trace: Vec<TraceEvent>,
-    scratch: Vec<TokenId>,
+    scratch: Vec<Resident>,
     expired: Vec<TokenId>,
     flush_buf: Vec<TokenId>,
     /// Per-operand source decisions of the last passing fused guard
@@ -264,6 +256,61 @@ struct EngineState<D: InstrData, R> {
     /// it leaves the state only while [`EngineState::apply_fx`]
     /// applies an emit, flush, reservation or halt it gathered.
     fx: Fx<D>,
+}
+
+/// One token listed in a place: the facts a visit reads, mirrored from
+/// the pooled token so that a visit touches the pool only to fire.
+///
+/// While the token is listed, `ready_at`, `kind` and `class` equal the
+/// pooled token's (checked in debug builds by
+/// [`EngineState::check_mirror`]). A reservation's `ready_at` is its
+/// expiry cycle and its `class` is [`NO_CLASS`].
+#[derive(Debug, Clone, Copy)]
+struct Resident {
+    id: TokenId,
+    ready_at: u64,
+    class: OpClassId,
+    kind: TokenKind,
+}
+
+/// The `class` of a reservation record, which has no payload.
+const NO_CLASS: OpClassId = OpClassId(u32::MAX);
+
+/// The run-time header of one place: its resident lists and the activity
+/// facts the scheduler reads.
+///
+/// The lists are not bounded by the stage capacity: reservation arcs,
+/// `Fx::emit` and [`Engine::inject`] insert without a capacity check.
+#[derive(Debug)]
+struct PlaceRt {
+    /// Readable residents, in insertion order (the visit order, so
+    /// removal preserves it).
+    live: Vec<Resident>,
+    /// Two-list places: instruction tokens written this cycle, appended
+    /// to `live` by the next cycle's latch commit.
+    pending: Vec<Resident>,
+    /// Live instruction tokens (activity criterion).
+    n_instr: u32,
+    /// Live reservation tokens (expiry-scan criterion).
+    n_res: u32,
+    /// Earliest cycle at which the place may need processing; `u64::MAX`
+    /// when nothing resident can ever become ready without new arrivals.
+    wake: u64,
+    /// Earliest reservation expiry; `u64::MAX` when none.
+    res_wake: u64,
+}
+
+impl PlaceRt {
+    fn new() -> Self {
+        PlaceRt {
+            live: Vec::new(),
+            pending: Vec::new(),
+            n_instr: 0,
+            n_res: 0,
+            wake: u64::MAX,
+            res_wake: u64::MAX,
+        }
+    }
 }
 
 impl<D: InstrData, R> Engine<D, R> {
@@ -286,13 +333,8 @@ impl<D: InstrData, R> Engine<D, R> {
         let stats = Stats::new(model.transition_count(), model.source_count(), model.place_count());
         Engine {
             st: EngineState {
-                live: vec![Vec::new(); n_places],
-                pending: vec![Vec::new(); n_places],
+                places: (0..n_places).map(|_| PlaceRt::new()).collect(),
                 stage_occ: vec![0; plan.n_stages],
-                n_instr: vec![0; n_places],
-                n_res: vec![0; n_places],
-                wake: vec![u64::MAX; n_places],
-                res_wake: vec![u64::MAX; n_places],
                 pending_dirty: Vec::new(),
                 cfg,
                 stats,
@@ -364,7 +406,8 @@ impl<D: InstrData, R> Engine<D, R> {
 
     /// Number of tokens (live + pending) currently in `place`.
     pub fn tokens_in(&self, place: PlaceId) -> usize {
-        self.st.live[place.index()].len() + self.st.pending[place.index()].len()
+        let rt = &self.st.places[place.index()];
+        rt.live.len() + rt.pending.len()
     }
 
     /// Total number of in-flight tokens.
@@ -411,8 +454,9 @@ impl<D: InstrData, R> Engine<D, R> {
 impl<D: InstrData, R> EngineState<D, R> {
     fn inject(&mut self, plan: &ExecPlan, payload: D, place: PlaceId) -> TokenId {
         let ready = self.cycle + plan.hot_place[place.index()].delay;
+        let class = payload.op_class();
         let id = self.pool.alloc(TokenKind::Instruction, Some(payload), place, self.cycle, ready);
-        self.insert_token(plan, id, place.index() as u32, ready);
+        self.insert_token(plan, id, place.index() as u32, ready, class);
         self.stats.generated += 1;
         id
     }
@@ -432,21 +476,24 @@ impl<D: InstrData, R> EngineState<D, R> {
             dirty.dedup();
             for &place in &dirty {
                 let pi = place as usize;
-                if self.pending[pi].is_empty() {
+                let p = PlaceId::from_index(pi);
+                if cfg!(debug_assertions) {
+                    self.check_mirror(p, &self.places[pi].pending);
+                }
+                let rt = &mut self.places[pi];
+                if rt.pending.is_empty() {
                     continue; // stale entry (e.g. the place was flushed)
                 }
-                let p = PlaceId::from_index(pi);
-                for &id in &self.pending[pi] {
-                    self.machine.regs.note_move(id, p);
+                for r in &rt.pending {
+                    self.machine.regs.note_move(r.id, p);
                 }
-                let moved = self.pending[pi].len();
+                let moved = rt.pending.len();
                 self.stats.two_list_commits += moved as u64;
-                self.n_instr[pi] += moved as u32;
+                rt.n_instr += moved as u32;
                 // Conservative wake: the committed tokens may be ready
                 // this very cycle; processing recomputes the exact bound.
-                self.wake[pi] = self.wake[pi].min(self.cycle);
-                let (live, pending) = (&mut self.live, &mut self.pending);
-                live[pi].append(&mut pending[pi]);
+                rt.wake = rt.wake.min(self.cycle);
+                rt.live.append(&mut rt.pending);
             }
             dirty.clear();
             self.pending_dirty = dirty;
@@ -459,37 +506,41 @@ impl<D: InstrData, R> EngineState<D, R> {
         //    removed anything.
         for &p in &plan.res_places {
             let pi = p.index();
+            let rt = &self.places[pi];
             if exhaustive {
-                if self.live[pi].is_empty() {
+                if rt.live.is_empty() {
                     continue;
                 }
             } else {
-                if self.n_res[pi] == 0 {
+                if rt.n_res == 0 {
                     continue;
                 }
-                if self.res_wake[pi] > self.cycle {
+                if rt.res_wake > self.cycle {
                     self.sched.expiry_skips += 1;
                     continue;
                 }
             }
             self.sched.expiry_scans += 1;
+            if cfg!(debug_assertions) {
+                self.check_mirror(p, &rt.live);
+            }
             let cycle = self.cycle;
             let mut expired = std::mem::take(&mut self.expired);
             expired.clear();
             let mut next_expiry = u64::MAX;
-            self.live[pi].retain(|&id| {
-                let t = self.pool.get(id).expect("reservation token must be live");
-                if t.kind == TokenKind::Reservation {
-                    if t.ready_at <= cycle {
-                        expired.push(id);
+            let rt = &mut self.places[pi];
+            rt.live.retain(|r| {
+                if r.kind == TokenKind::Reservation {
+                    if r.ready_at <= cycle {
+                        expired.push(r.id);
                         return false;
                     }
-                    next_expiry = next_expiry.min(t.ready_at);
+                    next_expiry = next_expiry.min(r.ready_at);
                 }
                 true
             });
-            self.n_res[pi] -= expired.len() as u32;
-            self.res_wake[pi] = next_expiry;
+            rt.n_res -= expired.len() as u32;
+            rt.res_wake = next_expiry;
             let stage = plan.hot_place[pi].stage as usize;
             for &id in &expired {
                 self.pool.discard(id);
@@ -518,10 +569,10 @@ impl<D: InstrData, R> EngineState<D, R> {
                     for &p in &plan.order {
                         let pi = p.index();
                         if !exhaustive {
-                            if self.n_instr[pi] == 0 {
+                            if self.places[pi].n_instr == 0 {
                                 continue;
                             }
-                            if self.wake[pi] > bound {
+                            if self.places[pi].wake > bound {
                                 self.note_place_skip(plan, pi);
                                 continue;
                             }
@@ -541,10 +592,10 @@ impl<D: InstrData, R> EngineState<D, R> {
                 for &p in &plan.order {
                     let pi = p.index();
                     if !exhaustive {
-                        if self.n_instr[pi] == 0 {
+                        if self.places[pi].n_instr == 0 {
                             continue;
                         }
-                        if self.wake[pi] > self.cycle {
+                        if self.places[pi].wake > self.cycle {
                             self.note_place_skip(plan, pi);
                             continue;
                         }
@@ -563,8 +614,8 @@ impl<D: InstrData, R> EngineState<D, R> {
         }
 
         if self.cfg.collect_occupancy {
-            for p in 0..self.live.len() {
-                self.stats.occupancy[p] += (self.live[p].len() + self.pending[p].len()) as u64;
+            for (p, rt) in self.places.iter().enumerate() {
+                self.stats.occupancy[p] += (rt.live.len() + rt.pending.len()) as u64;
             }
         }
 
@@ -578,7 +629,7 @@ impl<D: InstrData, R> EngineState<D, R> {
     #[inline]
     fn note_place_skip(&mut self, plan: &ExecPlan, pi: usize) {
         self.sched.place_skips += 1;
-        self.sched.token_visits_skipped += self.live[pi].len() as u64;
+        self.sched.token_visits_skipped += self.places[pi].live.len() as u64;
         self.sched.trans_visits_skipped += u64::from(plan.hot_place[pi].n_dependents);
     }
 
@@ -592,104 +643,111 @@ impl<D: InstrData, R> EngineState<D, R> {
     /// [`EngineState::insert_token`].
     fn process_place(&mut self, model: &Model<D, R>, plan: &ExecPlan, p: PlaceId) -> bool {
         let pi = p.index();
-        if self.live[pi].is_empty() {
+        let n = self.places[pi].live.len();
+        if n == 0 {
             return false;
         }
+        if cfg!(debug_assertions) {
+            self.check_mirror(p, &self.places[pi].live);
+        }
         self.sched.place_visits += 1;
-        self.wake[pi] = u64::MAX;
+        self.sched.token_visits += n as u64;
+        self.places[pi].wake = u64::MAX;
         let mut next_wake = u64::MAX;
-        let mut snapshot = std::mem::take(&mut self.scratch);
-        snapshot.clear();
-        snapshot.extend_from_slice(&self.live[pi]);
-        self.sched.token_visits += snapshot.len() as u64;
         let mut fired_any = false;
 
-        for &id in &snapshot {
-            let Some(tok) = self.pool.get(id) else { continue };
-            if tok.place != p || tok.kind != TokenKind::Instruction {
-                continue;
+        if n == 1 {
+            // A lone resident: nothing can squash or move it before its
+            // own visit, so its record is read directly.
+            let r = self.places[pi].live[0];
+            if r.kind == TokenKind::Instruction {
+                fired_any = self.visit(model, plan, p, r, &mut next_wake);
             }
-            if tok.ready_at > self.cycle {
-                next_wake = next_wake.min(tok.ready_at);
-                continue;
-            }
-            let class = tok.data.as_ref().expect("instruction token has data").op_class();
-            if let Some(sb) = plan.sb_lookup(pi, class.index()) {
-                // Direct-threaded fast path: the (place, class) pair was
-                // pre-resolved to its single pure-data transition at
-                // compile time; no candidate walk needed.
-                if self.try_fire_superblock(plan, sb, id, p) {
+        } else {
+            // An earlier firing in this scan can squash a later resident
+            // (a flush, a join consuming from `p`), so each snapshotted
+            // record is re-checked against the pool before its visit.
+            let mut snapshot = std::mem::take(&mut self.scratch);
+            snapshot.clear();
+            snapshot.extend_from_slice(&self.places[pi].live);
+            for &r in &snapshot {
+                if r.kind != TokenKind::Instruction
+                    || self.pool.get(r.id).is_none_or(|t| t.place != p)
+                {
+                    continue;
+                }
+                if self.visit(model, plan, p, r, &mut next_wake) {
                     fired_any = true;
-                } else {
-                    self.stats.stalls += 1;
-                    self.stats.place_stalls[pi] += 1;
-                    next_wake = next_wake.min(self.cycle + 1);
                 }
-                // Superblock ops cannot halt; no halted check needed.
-                continue;
+                if self.halted {
+                    break;
+                }
             }
-            let fired = match &plan.lookup {
-                Lookup::PerPlaceClass { flat, span, n_classes } => {
-                    let (start, len) = span[pi * n_classes + class.index()];
-                    let mut fired = false;
-                    for k in start..start + u32::from(len) {
-                        let tid = flat[k as usize] as usize;
-                        if self.try_fire(model, plan, tid, id, p) {
-                            fired = true;
-                            break;
-                        }
-                    }
-                    fired
-                }
-                Lookup::PerPlace { flat, span } => {
-                    let subnet = plan.subnet_of_class[class.index()];
-                    let (start, len) = span[pi];
-                    let mut fired = false;
-                    for k in start..start + u32::from(len) {
-                        let tid = flat[k as usize] as usize;
-                        if plan.subnet_of_trans[tid] != subnet {
-                            continue;
-                        }
-                        if self.try_fire(model, plan, tid, id, p) {
-                            fired = true;
-                            break;
-                        }
-                    }
-                    fired
-                }
-                Lookup::FullScan { order } => {
-                    let subnet = plan.subnet_of_class[class.index()];
-                    let mut fired = false;
-                    for &t in order {
-                        let tid = t as usize;
-                        if plan.input_of_trans[tid] as usize != pi
-                            || plan.subnet_of_trans[tid] != subnet
-                        {
-                            continue;
-                        }
-                        if self.try_fire(model, plan, tid, id, p) {
-                            fired = true;
-                            break;
-                        }
-                    }
-                    fired
-                }
-            };
-            if fired {
-                fired_any = true;
-            } else {
-                self.stats.stalls += 1;
-                self.stats.place_stalls[pi] += 1;
-                next_wake = next_wake.min(self.cycle + 1);
-            }
-            if self.halted {
-                break;
-            }
+            self.scratch = snapshot;
         }
 
-        self.scratch = snapshot;
-        self.wake[pi] = self.wake[pi].min(next_wake);
+        let rt = &mut self.places[pi];
+        rt.wake = rt.wake.min(next_wake);
         fired_any
+    }
+
+    /// Visits one instruction token resident in `p`: a delayed token only
+    /// lowers `next_wake`; a ready one tries the candidate transitions of
+    /// its class, and if none fires it stalls and re-arms the place for
+    /// the next cycle. Returns whether a transition fired.
+    #[inline]
+    fn visit(
+        &mut self,
+        model: &Model<D, R>,
+        plan: &ExecPlan,
+        p: PlaceId,
+        r: Resident,
+        next_wake: &mut u64,
+    ) -> bool {
+        if r.ready_at > self.cycle {
+            *next_wake = (*next_wake).min(r.ready_at);
+            return false;
+        }
+        let pi = p.index();
+        let (id, class) = (r.id, r.class.index());
+        let fired = if let Some(sb) = plan.sb_lookup(pi, class) {
+            // Direct-threaded fast path: the (place, class) pair was
+            // pre-resolved to its single pure-data transition at compile
+            // time; no candidate walk needed.
+            self.try_fire_superblock(plan, sb, id, p)
+        } else {
+            match &plan.lookup {
+                Lookup::PerPlaceClass { flat, span, n_classes } => {
+                    let (start, len) = span[pi * n_classes + class];
+                    (start..start + u32::from(len))
+                        .any(|k| self.try_fire(model, plan, flat[k as usize] as usize, id, p))
+                }
+                Lookup::PerPlace { flat, span } => {
+                    let subnet = plan.subnet_of_class[class];
+                    let (start, len) = span[pi];
+                    (start..start + u32::from(len)).any(|k| {
+                        let tid = flat[k as usize] as usize;
+                        plan.subnet_of_trans[tid] == subnet
+                            && self.try_fire(model, plan, tid, id, p)
+                    })
+                }
+                Lookup::FullScan { order } => {
+                    let subnet = plan.subnet_of_class[class];
+                    order.iter().any(|&t| {
+                        let tid = t as usize;
+                        plan.input_of_trans[tid] as usize == pi
+                            && plan.subnet_of_trans[tid] == subnet
+                            && self.try_fire(model, plan, tid, id, p)
+                    })
+                }
+            }
+        };
+        if !fired {
+            self.stats.stalls += 1;
+            self.stats.place_stalls[pi] += 1;
+            *next_wake = (*next_wake).min(self.cycle + 1);
+        }
+        fired
     }
 
     /// Checks capacity / extra inputs / guard; fires if enabled.
@@ -863,7 +921,8 @@ impl<D: InstrData, R> EngineState<D, R> {
             if self.cfg.trace {
                 seq = tok.seq;
             }
-            self.insert_token(plan, token, sb.dest, ready);
+            let class = tok.data.as_ref().expect("instruction token has data").op_class();
+            self.insert_token(plan, token, sb.dest, ready, class);
         }
 
         self.stats.fires[tid] += 1;
@@ -877,47 +936,103 @@ impl<D: InstrData, R> EngineState<D, R> {
         true
     }
 
-    /// The oldest ready token in `place` (any kind), if one exists.
-    fn oldest_ready(&self, place: PlaceId) -> Option<TokenId> {
-        self.live[place.index()]
+    /// The oldest ready resident of `place` (any kind), if one exists.
+    fn oldest_ready(&self, place: PlaceId) -> Option<Resident> {
+        self.places[place.index()]
+            .live
             .iter()
+            .filter(|r| r.ready_at <= self.cycle)
+            .min_by_key(|r| self.pool.get(r.id).expect("listed token is live").seq())
             .copied()
-            .filter(|&id| self.pool.get(id).is_some_and(|t| t.ready_at <= self.cycle))
-            .min_by_key(|&id| self.pool.get(id).expect("live token").seq())
     }
 
     #[inline]
     fn remove_from_place(&mut self, plan: &ExecPlan, place: usize, id: TokenId, kind: TokenKind) {
-        let list = &mut self.live[place];
-        let pos = list.iter().position(|&x| x == id).expect("token listed in its place");
-        list.remove(pos);
+        let rt = &mut self.places[place];
+        if rt.live.len() == 1 {
+            debug_assert_eq!(rt.live[0].id, id, "token listed in its place");
+            rt.live.clear();
+        } else {
+            // Order-preserving: the list order is the next scan's visit
+            // order, which is observable.
+            let pos = rt.live.iter().position(|r| r.id == id).expect("token listed in its place");
+            rt.live.remove(pos);
+        }
         match kind {
-            TokenKind::Instruction => self.n_instr[place] -= 1,
-            TokenKind::Reservation => self.n_res[place] -= 1,
+            TokenKind::Instruction => rt.n_instr -= 1,
+            TokenKind::Reservation => rt.n_res -= 1,
         }
         self.stage_occ[plan.hot_place[place].stage as usize] -= 1;
     }
 
-    /// Inserts `id` (an instruction token becoming ready at `ready`) into
-    /// `place`, dirtying the place for the scheduler: a live insert lowers
-    /// the place's wake bound, a pending insert enlists it for the next
-    /// latch commit.
+    /// Inserts `id` (an instruction token of `class` becoming ready at
+    /// `ready`) into `place`, dirtying the place for the scheduler: a live
+    /// insert lowers the place's wake bound, a pending insert enlists it
+    /// for the next latch commit.
     #[inline]
-    fn insert_token(&mut self, plan: &ExecPlan, id: TokenId, place: u32, ready: u64) {
+    fn insert_token(
+        &mut self,
+        plan: &ExecPlan,
+        id: TokenId,
+        place: u32,
+        ready: u64,
+        class: OpClassId,
+    ) {
         let pi = place as usize;
         let hp = plan.hot_place[pi];
+        let r = Resident { id, ready_at: ready, class, kind: TokenKind::Instruction };
+        let rt = &mut self.places[pi];
         if hp.two_list {
-            if self.pending[pi].is_empty() {
+            if rt.pending.is_empty() {
                 self.pending_dirty.push(place);
             }
-            self.pending[pi].push(id);
+            rt.pending.push(r);
         } else {
-            self.live[pi].push(id);
-            self.n_instr[pi] += 1;
-            self.wake[pi] = self.wake[pi].min(ready);
+            rt.live.push(r);
+            rt.n_instr += 1;
+            rt.wake = rt.wake.min(ready);
             self.machine.regs.note_move(id, PlaceId::from_index(pi));
         }
         self.stage_occ[hp.stage as usize] += 1;
+    }
+
+    /// Deposits a reservation token in `place`, occupying its stage until
+    /// `expiry`. Reservations occupy immediately; they are not deferred
+    /// even on two-list places, since their only observable effect is
+    /// stage occupancy (which is always next-state).
+    fn insert_reservation(&mut self, plan: &ExecPlan, place: PlaceId, expiry: u64) {
+        let id = self.pool.alloc(TokenKind::Reservation, None, place, self.cycle, expiry);
+        let rt = &mut self.places[place.index()];
+        rt.live.push(Resident {
+            id,
+            ready_at: expiry,
+            class: NO_CLASS,
+            kind: TokenKind::Reservation,
+        });
+        rt.n_res += 1;
+        rt.res_wake = rt.res_wake.min(expiry);
+        self.stage_occ[plan.hot_place[place.index()].stage as usize] += 1;
+        self.stats.reservations += 1;
+    }
+
+    /// Debug builds check the mirror invariant wherever records are read:
+    /// each record in `list` names a live token in `p` and agrees with the
+    /// pooled token on `ready_at`, `kind` and, for an instruction token,
+    /// the payload's class.
+    fn check_mirror(&self, p: PlaceId, list: &[Resident]) {
+        for r in list {
+            let t = self.pool.get(r.id).unwrap_or_else(|| panic!("{p} lists dead {r:?}"));
+            assert!(
+                t.place == p && t.ready_at == r.ready_at && t.kind == r.kind,
+                "{p} lists {r:?}, but the pool holds place {}, ready_at {}, kind {:?}",
+                t.place,
+                t.ready_at,
+                t.kind
+            );
+            if let Some(data) = &t.data {
+                assert_eq!(data.op_class(), r.class, "{p} lists {r:?} under a stale class");
+            }
+        }
     }
 
     /// Fires transition `tid`, moving `token` from `place` to the
@@ -939,12 +1054,11 @@ impl<D: InstrData, R> EngineState<D, R> {
                 let x = model.transitions[tid].extra_inputs[k];
                 let victim =
                     self.oldest_ready(x).expect("extra input availability was checked in try_fire");
-                let vkind = self.pool.get(victim).expect("victim is live").kind;
-                self.remove_from_place(plan, x.index(), victim, vkind);
-                if vkind == TokenKind::Instruction {
-                    self.machine.regs.release(victim);
+                self.remove_from_place(plan, x.index(), victim.id, victim.kind);
+                if victim.kind == TokenKind::Instruction {
+                    self.machine.regs.release(victim.id);
                 }
-                self.pool.discard(victim);
+                self.pool.discard(victim.id);
             }
         }
 
@@ -1013,24 +1127,16 @@ impl<D: InstrData, R> EngineState<D, R> {
             if self.cfg.trace {
                 seq = tok.seq;
             }
-            self.insert_token(plan, token, h.dest, ready);
+            // The action may have re-classed the token (a decode step).
+            let class = tok.data.as_ref().expect("instruction token has data").op_class();
+            self.insert_token(plan, token, h.dest, ready, class);
         }
 
         // Reservation-token output arcs.
         if h.has_res {
             for k in 0..model.transitions[tid].reservations.len() {
                 let r = model.transitions[tid].reservations[k];
-                let expiry = cycle + u64::from(r.expire);
-                let rid = self.pool.alloc(TokenKind::Reservation, None, r.place, cycle, expiry);
-                // Reservations occupy immediately; they are not deferred
-                // even on two-list places, since their only observable
-                // effect is stage occupancy (which is always next-state).
-                let rp = r.place.index();
-                self.live[rp].push(rid);
-                self.n_res[rp] += 1;
-                self.res_wake[rp] = self.res_wake[rp].min(expiry);
-                self.stage_occ[plan.hot_place[rp].stage as usize] += 1;
-                self.stats.reservations += 1;
+                self.insert_reservation(plan, r.place, cycle + u64::from(r.expire));
             }
         }
 
@@ -1067,19 +1173,13 @@ impl<D: InstrData, R> EngineState<D, R> {
                 "Fx::reserve into {place}, which is not a compiled reservation target (no ResArc \
                  or IR ReserveRes op names it) — the expiry scan would never release it"
             );
-            let expiry = cycle + u64::from(expire);
-            let rid = self.pool.alloc(TokenKind::Reservation, None, place, cycle, expiry);
-            let rp = place.index();
-            self.live[rp].push(rid);
-            self.n_res[rp] += 1;
-            self.res_wake[rp] = self.res_wake[rp].min(expiry);
-            self.stage_occ[plan.hot_place[rp].stage as usize] += 1;
-            self.stats.reservations += 1;
+            self.insert_reservation(plan, place, cycle + u64::from(expire));
         }
         for (payload, place, delay) in fx.emits.drain(..) {
             let ready = cycle + u64::from(delay);
+            let class = payload.op_class();
             let id = self.pool.alloc(TokenKind::Instruction, Some(payload), place, cycle, ready);
-            self.insert_token(plan, id, place.index() as u32, ready);
+            self.insert_token(plan, id, place.index() as u32, ready, class);
             self.stats.emitted += 1;
         }
         for place in fx.flush_places.drain(..) {
@@ -1097,13 +1197,13 @@ impl<D: InstrData, R> EngineState<D, R> {
         let pi = place.index();
         let mut ids = std::mem::take(&mut self.flush_buf);
         ids.clear();
-        ids.append(&mut self.live[pi]);
-        ids.append(&mut self.pending[pi]);
+        let rt = &mut self.places[pi];
+        ids.extend(rt.live.drain(..).chain(rt.pending.drain(..)).map(|r| r.id));
         // The place is now empty; reset its activity metadata wholesale.
-        self.n_instr[pi] = 0;
-        self.n_res[pi] = 0;
-        self.wake[pi] = u64::MAX;
-        self.res_wake[pi] = u64::MAX;
+        rt.n_instr = 0;
+        rt.n_res = 0;
+        rt.wake = u64::MAX;
+        rt.res_wake = u64::MAX;
         let stage = plan.hot_place[pi].stage as usize;
         for &id in &ids {
             let mut tok = self.pool.take(id);
@@ -1145,6 +1245,7 @@ impl<D: InstrData, R> EngineState<D, R> {
                 let payload = (model.sources[si].produce)(&mut self.machine, &mut self.fx);
                 let produced = payload.is_some();
                 if let Some(data) = payload {
+                    let class = data.op_class();
                     let eff = match self.fx.token_delay {
                         None => hp.delay,
                         Some(d) => u64::from(d),
@@ -1157,7 +1258,7 @@ impl<D: InstrData, R> EngineState<D, R> {
                         cycle,
                         ready,
                     );
-                    self.insert_token(plan, id, hs.dest, ready);
+                    self.insert_token(plan, id, hs.dest, ready, class);
                     self.stats.generated += 1;
                     self.stats.source_fires[si] += 1;
                     if self.cfg.trace {

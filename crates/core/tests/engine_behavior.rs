@@ -788,3 +788,154 @@ fn leaked_reservations_are_counted_and_released() {
     assert_eq!(e.stats().leaked_reservations, 1);
     assert_eq!(e.machine().regs.reserved_cells(), 0);
 }
+
+/// Every engine configuration that must simulate a model identically for
+/// one `two_list_everywhere` setting: superblocks on/off × all table
+/// modes × both schedulers, with tracing on.
+fn config_grid(two_list_everywhere: bool) -> Vec<EngineConfig> {
+    let mut grid = Vec::new();
+    for superblocks in [true, false] {
+        for table_mode in [TableMode::PerPlaceClass, TableMode::PerPlace, TableMode::FullScan] {
+            for scheduler in [SchedulerMode::ActivityDriven, SchedulerMode::Exhaustive] {
+                grid.push(EngineConfig {
+                    table_mode,
+                    two_list_everywhere,
+                    scheduler,
+                    superblocks,
+                    trace: true,
+                    ..Default::default()
+                });
+            }
+        }
+    }
+    grid
+}
+
+/// Asserts that every run in `runs` (one per [`config_grid`] entry)
+/// produced the same trace and `Stats` as the first.
+fn assert_grid_agrees(runs: &[(EngineConfig, Vec<TraceEvent>, Stats)]) {
+    let (cfg0, trace0, stats0) = &runs[0];
+    for (cfg, trace, stats) in &runs[1..] {
+        assert_eq!(trace, trace0, "trace differs: {cfg:?} vs {cfg0:?}");
+        assert_eq!(stats, stats0, "Stats differ: {cfg:?} vs {cfg0:?}");
+    }
+}
+
+#[test]
+fn an_action_that_reclasses_its_token_routes_it_by_the_new_class() {
+    // Decode re-classes: a `Raw` token leaves p1 as `Alu` or `Mem` by the
+    // parity of its immediate, and the class it carries into p2 picks its
+    // way out: Alu retires from p2, Mem spends two extra cycles reaching
+    // p3 first. A place list that kept the class the token had before
+    // the action would look up `Raw` in p2 and stall forever.
+    fn build() -> (Model<Tok, Feed>, TransitionId, TransitionId) {
+        let mut b = ModelBuilder::<Tok, Feed>::new();
+        let l1 = b.stage("L1", 1);
+        let l2 = b.stage("L2", 1);
+        let l3 = b.stage("L3", 1);
+        let p1 = b.place("p1", l1);
+        let p2 = b.place("p2", l2);
+        let p3 = b.place("p3", l3);
+        let end = b.end_place();
+        let (raw, _) = b.class_net("Raw");
+        let (alu, _) = b.class_net("Alu");
+        let (mem, _) = b.class_net("Mem");
+        b.transition(raw, "decode")
+            .from(p1)
+            .to(p2)
+            .action(move |_m, t: &mut Tok, _fx| t.class = if t.imm % 2 == 0 { alu } else { mem })
+            .done();
+        let alu_out = b.transition(alu, "alu").from(p2).to(end).done();
+        let mem_out = b.transition(mem, "mem").from(p2).to(p3).delay(2).done();
+        b.transition(mem, "mem_wb").from(p3).to(end).done();
+        feed_source(&mut b, p1);
+        (b.build().unwrap(), alu_out, mem_out)
+    }
+    for two_list_everywhere in [false, true] {
+        let mut runs = Vec::new();
+        for cfg in config_grid(two_list_everywhere) {
+            let (model, alu_out, mem_out) = build();
+            let feed = Feed::default();
+            let raw = OpClassId::from_index(0);
+            feed.program.borrow_mut().extend((0..9).map(|imm| Tok { imm, ..Tok::plain(raw) }));
+            let mut e =
+                Engine::with_config(model, Machine::new(RegisterFile::new(), feed), cfg.clone());
+            while e.stats().retired < 9 && e.cycle() < 200 {
+                e.step();
+            }
+            assert_eq!(e.stats().retired, 9, "{cfg:?}: every instruction retires");
+            assert_eq!(e.stats().fires_of(alu_out), 5, "{cfg:?}: even immediates run as Alu");
+            assert_eq!(e.stats().fires_of(mem_out), 4, "{cfg:?}: odd immediates run as Mem");
+            runs.push((cfg, e.take_trace(), e.stats().clone()));
+        }
+        assert_grid_agrees(&runs);
+    }
+}
+
+#[test]
+fn an_over_full_latch_fires_its_residents_in_insertion_order() {
+    // p1 has capacity 1, but insertions that skip the capacity check can
+    // pile up behind a fetched instruction: a branch leaving p2 reserves
+    // p1 for two cycles and emits two micro-ops into it. Removing the
+    // instruction must keep the rest in insertion order, so every firing
+    // out of p1 moves an older token than the one before it.
+    fn build() -> (Model<Tok, Feed>, PlaceId, [TransitionId; 2]) {
+        let mut b = ModelBuilder::<Tok, Feed>::new();
+        let l1 = b.stage("L1", 1);
+        let l2 = b.stage("L2", 1);
+        let p1 = b.place("p1", l1);
+        let p2 = b.place("p2", l2);
+        let end = b.end_place();
+        let (alu, _) = b.class_net("Alu");
+        let (br, _) = b.class_net("Branch");
+        let a12 = b.transition(alu, "a12").from(p1).to(p2).done();
+        b.transition(alu, "a2e").from(p2).to(end).done();
+        let b12 = b.transition(br, "b12").from(p1).to(p2).done();
+        b.transition(br, "b2e")
+            .from(p2)
+            .to(end)
+            .reserve(p1, 2)
+            .action(move |_m, _t, fx| {
+                fx.emit(Tok::plain(alu), p1, 1);
+                fx.emit(Tok::plain(alu), p1, 1);
+            })
+            .done();
+        feed_source(&mut b, p1);
+        (b.build().unwrap(), p1, [a12, b12])
+    }
+    for two_list_everywhere in [false, true] {
+        let mut runs = Vec::new();
+        for cfg in config_grid(two_list_everywhere) {
+            let (model, p1, out_of_p1) = build();
+            let feed = Feed::default();
+            let (alu, br) = (OpClassId::from_index(0), OpClassId::from_index(1));
+            feed.program.borrow_mut().push_back(Tok::plain(br));
+            feed.program.borrow_mut().extend((0..3).map(|_| Tok::plain(alu)));
+            let mut e =
+                Engine::with_config(model, Machine::new(RegisterFile::new(), feed), cfg.clone());
+            let mut most_in_p1 = 0;
+            while e.stats().retired < 6 && e.cycle() < 200 {
+                e.step();
+                most_in_p1 = most_in_p1.max(e.tokens_in(p1));
+            }
+            assert_eq!(e.stats().retired, 6, "{cfg:?}: branch, 3 ALU ops and 2 micro-ops");
+            assert!(most_in_p1 >= 3, "{cfg:?}: p1 over-fills (peak {most_in_p1})");
+            let trace = e.take_trace();
+            let seqs: Vec<u64> = trace
+                .iter()
+                .filter_map(|ev| match *ev {
+                    TraceEvent::Fired { transition, seq, .. }
+                        if out_of_p1.contains(&transition) =>
+                    {
+                        Some(seq)
+                    }
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(seqs.len(), 6, "{cfg:?}: every token leaves p1 once");
+            assert!(seqs.windows(2).all(|w| w[0] < w[1]), "{cfg:?}: out of order: {seqs:?}");
+            runs.push((cfg, trace, e.stats().clone()));
+        }
+        assert_grid_agrees(&runs);
+    }
+}

@@ -29,7 +29,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::Mutex;
 
-use arm_isa::program::Program;
+use arm_isa::program::{MemLayout, Program};
 use processors::sim::{CompiledSim, ProcModel};
 use rcpn::artifact::{ArtifactCache, ArtifactError};
 use rcpn::batch::BatchRunner;
@@ -334,6 +334,21 @@ impl Server {
             };
             return write_locked(out, &reply).is_ok();
         };
+        // Jobs run in the default layout; an image past its end would
+        // panic the worker that loads it. The end is computed in u64 so a
+        // base near u32::MAX cannot wrap.
+        let mem_bytes = MemLayout::default().mem_bytes;
+        let image_end = u64::from(spec.base) + 4 * spec.words.len() as u64;
+        if image_end > u64::from(mem_bytes) {
+            let reply = Reply::JobFailed {
+                job_id: spec.job_id,
+                error: format!(
+                    "image [{:#x}..{image_end:#x}) exceeds the {mem_bytes:#x}-byte memory",
+                    spec.base
+                ),
+            };
+            return write_locked(out, &reply).is_ok();
+        }
         // Hold the write lock across try_send + acknowledgement: a worker
         // can only write JobDone after taking this same lock, so Accepted
         // always precedes the job's result on the wire.

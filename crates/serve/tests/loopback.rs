@@ -10,10 +10,11 @@
 
 use std::path::PathBuf;
 
+use arm_isa::program::Program;
 use processors::sim::{CompiledSim, ProcModel};
 use rcpn::batch::BatchRunner;
 use rcpn_bench::record::SweepRecord;
-use rcpn_serve::client::{Admission, Client};
+use rcpn_serve::client::{Admission, Client, ClientError};
 use rcpn_serve::server::{ServeConfig, Server};
 use workloads::Workload;
 
@@ -148,6 +149,43 @@ fn unknown_model_fails_the_job_not_the_connection() {
     );
 
     // The connection survives a failed job.
+    let (job_id, admission) =
+        client.submit("strongarm", &workload.program, MAX_CYCLES).expect("submit after failure");
+    assert_eq!(admission, Admission::Accepted);
+    let outcome = client.collect(job_id).expect("collect");
+    assert_eq!(outcome.result.exit, Some(workload.expected));
+
+    client.shutdown().expect("shutdown acknowledged");
+    handle.join().expect("server joins");
+}
+
+#[test]
+fn oversized_image_fails_the_job_not_the_worker() {
+    // One worker: if a bad image killed it, the good job below would
+    // never complete.
+    let (addr, handle) = spawn_server(ServeConfig { workers: 1, ..ServeConfig::default() });
+    let mut client = Client::connect(addr).expect("client connects");
+
+    // `mov r0, #7; swi #0` loaded past the end of the 1 MiB memory, and
+    // two words at the top of the address space (the end wraps in u32).
+    let past_end = Program {
+        words: vec![0xE3A0_0007, 0xEF00_0000],
+        base: 0x0020_0000,
+        entry: 0x0020_0000,
+        labels: Default::default(),
+    };
+    let wraps = Program { base: 0xFFFF_FFFC, entry: 0xFFFF_FFFC, ..past_end.clone() };
+    for program in [&past_end, &wraps] {
+        match client.submit("strongarm", program, MAX_CYCLES) {
+            Err(ClientError::JobFailed { error, .. }) => {
+                assert!(error.contains("memory"), "diagnostic names the memory: {error}");
+            }
+            other => panic!("image at {:#x}: expected JobFailed, got {other:?}", program.base),
+        }
+    }
+
+    // The worker is still alive and the connection still serves.
+    let workload = &Workload::suite(0.0)[0];
     let (job_id, admission) =
         client.submit("strongarm", &workload.program, MAX_CYCLES).expect("submit after failure");
     assert_eq!(admission, Admission::Accepted);
