@@ -29,7 +29,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::Mutex;
 
-use arm_isa::program::{MemLayout, Program};
+use arm_isa::program::{MemLayout, Program, DEFAULT_MEM_BYTES, DEFAULT_STACK_TOP};
 use processors::sim::{CompiledSim, ProcModel};
 use rcpn::artifact::{ArtifactCache, ArtifactError};
 use rcpn::batch::BatchRunner;
@@ -100,6 +100,14 @@ impl From<ArtifactError> for ServeError {
         ServeError::Artifact(e)
     }
 }
+
+/// The memory every served job runs in. [`Server::admit`] checks each
+/// image against it and [`worker_loop`] loads the image into it, so the
+/// fit check always guards the memory the job gets. It is the default
+/// layout, the one [`CompiledSim::run_batch`] runs in, so served results
+/// stay identical to in-process ones.
+const JOB_LAYOUT: MemLayout =
+    MemLayout { mem_bytes: DEFAULT_MEM_BYTES, stack_top: DEFAULT_STACK_TOP };
 
 /// One admitted job, owned by the queue until a worker claims it.
 struct Job {
@@ -334,10 +342,10 @@ impl Server {
             };
             return write_locked(out, &reply).is_ok();
         };
-        // Jobs run in the default layout; an image past its end would
-        // panic the worker that loads it. The end is computed in u64 so a
-        // base near u32::MAX cannot wrap.
-        let mem_bytes = MemLayout::default().mem_bytes;
+        // An image past the end of the job memory would panic the worker
+        // that loads it. The end is computed in u64 so a base near
+        // u32::MAX cannot wrap.
+        let mem_bytes = JOB_LAYOUT.mem_bytes;
         let image_end = u64::from(spec.base) + 4 * spec.words.len() as u64;
         if image_end > u64::from(mem_bytes) {
             let reply = Reply::JobFailed {
@@ -409,7 +417,7 @@ fn worker_loop(rx: &Mutex<Receiver<Job>>, warmed: &[CompiledSim]) {
             Ok(job) => job,
             Err(_) => return, // all senders dropped: drained, exit
         };
-        let mut sim = warmed[job.model_idx].instantiate(&job.program);
+        let mut sim = warmed[job.model_idx].instantiate_with(&job.program, JOB_LAYOUT);
         let result = sim.run(job.max_cycles);
         let outcome = JobOutcome {
             result,
