@@ -8,7 +8,9 @@
 //! closure hook path (`hook`), how many firings dispatched through a
 //! compiled superblock (`sblocks`, with `inlined` micro-ops interpreted
 //! on the fast path) — the per-op and closure-lowered StrongARM rows are
-//! the successively weaker dispatch references.
+//! the successively weaker dispatch references — and how many cycles
+//! `CaSim::run` fast-forwarded as exact repeats of a quiescent cycle
+//! (`ff`; never under the exhaustive sweep).
 //!
 //! ```text
 //! cargo run --release -p rcpn-bench --example sparsity
@@ -19,7 +21,7 @@ use workloads::{Kernel, Workload};
 
 fn main() {
     println!(
-        "{:<32}{:>10}{:>13}{:>11}{:>8}{:>12}{:>11}{:>11}{:>12}{:>12}{:>10}",
+        "{:<32}{:>10}{:>13}{:>11}{:>8}{:>12}{:>11}{:>11}{:>12}{:>12}{:>10}{:>10}",
         "simulator/kernel",
         "cycles",
         "place_visits",
@@ -30,7 +32,8 @@ fn main() {
         "fused",
         "sblocks",
         "inlined",
-        "trans"
+        "trans",
+        "ff"
     );
     for sim in [
         Simulator::RcpnStrongArm,
@@ -40,6 +43,7 @@ fn main() {
         Simulator::RcpnStrongArmPerOp,
     ] {
         let compiled = compiled_sim(sim).expect("RCPN simulator");
+        let mut fast_forwarded = 0;
         for kernel in Kernel::ALL {
             let size = (kernel.bench_size() / 20).max(kernel.test_size());
             let w = Workload::build(kernel, size);
@@ -61,8 +65,13 @@ fn main() {
                 assert!(sc.superblocks_entered > 0, "IR row must dispatch superblocks");
                 assert!(sc.ops_inlined > 0, "superblock firings must interpret inline ops");
             }
+            let ff = s.engine.fast_forwarded_cycles();
+            if sim == Simulator::RcpnStrongArmExhaustive {
+                assert_eq!(ff, 0, "the exhaustive sweep must not fast-forward");
+            }
+            fast_forwarded += ff;
             println!(
-                "{:<32}{:>10}{:>13}{:>11}{:>7.1}%{:>12}{:>11}{:>11}{:>12}{:>12}{:>10}",
+                "{:<32}{:>10}{:>13}{:>11}{:>7.1}%{:>12}{:>11}{:>11}{:>12}{:>12}{:>10}{:>10}",
                 format!("{}/{}", sim.name(), kernel.name()),
                 r.cycles,
                 sc.place_visits,
@@ -74,7 +83,11 @@ fn main() {
                 sc.superblocks_entered,
                 sc.ops_inlined,
                 sc.trans_visits,
+                ff,
             );
+        }
+        if sim == Simulator::RcpnStrongArm {
+            assert!(fast_forwarded > 0, "the default StrongARM must fast-forward some cycles");
         }
     }
 }

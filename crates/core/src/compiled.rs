@@ -201,6 +201,10 @@ pub(crate) struct ExecPlan {
     /// The folded program pool `GuardCode::Prog`/`ActionCode::Prog` index
     /// into.
     pub(crate) programs: Vec<Program>,
+    /// Whether each program in `programs` contains a `CallHook`: a guard
+    /// that can read machine state outside the register file, so a cycle
+    /// that evaluates it is never fast-forwarded (`engine.rs`).
+    pub(crate) calls_hook: Vec<bool>,
     pub(crate) n_stages: usize,
     /// (place, class) → index into `sb_blocks` (`u32::MAX` = no
     /// superblock: fall back to the generic candidate walk). Empty when
@@ -477,6 +481,11 @@ impl ExecPlan {
             }
         };
 
+        let calls_hook = programs
+            .iter()
+            .map(|p| p.ops().iter().any(|op| matches!(op, MicroOp::CallHook(_))))
+            .collect();
+
         ExecPlan {
             order,
             fixpoint: cfg.two_list_everywhere,
@@ -491,6 +500,7 @@ impl ExecPlan {
             hot_source,
             dispatch,
             programs,
+            calls_hook,
             n_stages: model.stage_count(),
             sb_index,
             sb_blocks,

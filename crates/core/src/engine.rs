@@ -61,6 +61,21 @@
 //! [`SchedulerMode::Exhaustive`] keeps the verbatim Figure 8 sweep as the
 //! differential-testing oracle (and as the honest ablation baseline).
 //!
+//! ## Quiescent cycles
+//!
+//! A cycle is *quiescent* when it fires no transition, commits no
+//! two-list latch, expires no reservation, consults no source, and
+//! evaluates no closure guard and no IR guard program containing a
+//! `CallHook`. Everything else such a cycle reads — stage occupancy,
+//! token readiness, join availability, register-file checks — only those
+//! events change, so after a quiescent cycle `c` every cycle up to the
+//! next token maturity or reservation scan `T` repeats cycle `c + 1`
+//! exactly. Under the activity scheduler, [`Engine::run`] (through
+//! [`Engine::step_then_skip`]) simulates `c + 1` as the template, jumps to
+//! `T` and adds the template's counter deltas once per skipped cycle, so
+//! the trace, [`Stats`] and [`SchedStats`] equal a cycle-by-cycle run's
+//! (`DESIGN.md` §2a). [`Engine::step`] always runs exactly one cycle.
+//!
 //! Three optimizations from the paper are implemented and individually
 //! switchable through [`EngineConfig`] so their contribution can be
 //! measured (see the `ablations` bench):
@@ -81,7 +96,7 @@ use crate::compiled::{ActionCode, CompiledModel, ExecPlan, GuardCode, HotTrans, 
 use crate::ids::{OpClassId, PlaceId, SourceId, TokenId, TransitionId};
 use crate::ir::{self, MicroOp};
 use crate::model::{ActionKind, Fx, GuardKind, Machine, Model};
-use crate::stats::{SchedStats, Stats};
+use crate::stats::{SchedStats, Stats, TemplateMark};
 use crate::token::{InstrData, TokenKind, TokenPool};
 
 /// How `Process(p)` locates candidate transitions for a token.
@@ -251,6 +266,13 @@ struct EngineState<D: InstrData, R> {
     /// (`false` = register file, `true` = forwarding scoreboard);
     /// consumed by the immediately following fused acquire.
     fused_memo: Vec<bool>,
+    /// Set by every event that keeps the current cycle from being
+    /// quiescent (see the module docs); cleared at the start of a cycle.
+    active: bool,
+    /// Cycles skipped by [`EngineState::step_then_skip`].
+    fast_forwarded: u64,
+    /// The counters as the template cycle began.
+    ff_mark: TemplateMark,
     /// The side-effect collector. Actions and sources borrow it in place
     /// (a disjoint field borrow beside `machine` and the token payload);
     /// it leaves the state only while [`EngineState::apply_fx`]
@@ -346,6 +368,9 @@ impl<D: InstrData, R> Engine<D, R> {
                 expired: Vec::new(),
                 flush_buf: Vec::new(),
                 fused_memo: Vec::new(),
+                active: false,
+                fast_forwarded: 0,
+                ff_mark: TemplateMark::default(),
                 fx: Fx::new(None),
                 machine,
                 pool: TokenPool::new(),
@@ -399,6 +424,15 @@ impl<D: InstrData, R> Engine<D, R> {
         self.st.cycle
     }
 
+    /// Cycles that [`Engine::run`] and [`Engine::step_then_skip`] skipped
+    /// as exact repeats of a quiescent template cycle instead of
+    /// simulating them. They are counted in [`Engine::cycle`], [`Stats`]
+    /// and [`SchedStats`] like simulated cycles; this only says how many
+    /// were fast-forwarded. Always 0 under [`SchedulerMode::Exhaustive`].
+    pub fn fast_forwarded_cycles(&self) -> u64 {
+        self.st.fast_forwarded
+    }
+
     /// Whether a halt was requested.
     pub fn halted(&self) -> bool {
         self.st.halted
@@ -432,11 +466,34 @@ impl<D: InstrData, R> Engine<D, R> {
         self.st.step(&self.model, &self.plan);
     }
 
+    /// Executes one clock cycle and, if it was quiescent (module docs),
+    /// fast-forwards: under [`SchedulerMode::ActivityDriven`] it runs the
+    /// next cycle as the template and skips the template's exact repeats,
+    /// up to the next token maturity or reservation scan and never past
+    /// cycle `limit`. Afterwards the engine is exactly where a loop of
+    /// [`Engine::step`] calls would have left it.
+    ///
+    /// The run loops ([`Engine::run`] and the ARM `CaSim::run`) call this.
+    /// A loop that stops on a condition of the machine or of its tokens
+    /// can test it after each call: a quiescent cycle changes neither, so
+    /// a condition that was false when the call began cannot turn true
+    /// inside the skipped stretch.
+    pub fn step_then_skip(&mut self, limit: u64) {
+        self.st.step_then_skip(&self.model, &self.plan, limit);
+    }
+
     /// Runs until the model halts or `max_cycles` have executed.
+    ///
+    /// Under [`SchedulerMode::ActivityDriven`] quiescent stretches are
+    /// fast-forwarded ([`Engine::step_then_skip`]): the trace, [`Stats`],
+    /// [`SchedStats`] and machine state equal those of `max_cycles`
+    /// [`Engine::step`] calls that stop at the halt, and
+    /// [`Engine::fast_forwarded_cycles`] reports how many cycles were
+    /// skipped.
     pub fn run(&mut self, max_cycles: u64) -> RunOutcome {
         let limit = self.st.cycle.saturating_add(max_cycles);
         while !self.st.halted && self.st.cycle < limit {
-            self.st.step(&self.model, &self.plan);
+            self.st.step_then_skip(&self.model, &self.plan, limit);
         }
         if self.st.halted {
             RunOutcome::Halted
@@ -461,9 +518,83 @@ impl<D: InstrData, R> EngineState<D, R> {
         id
     }
 
+    /// One cycle, then a fast-forward if it was quiescent (module docs).
+    #[inline]
+    fn step_then_skip(&mut self, model: &Model<D, R>, plan: &ExecPlan, limit: u64) {
+        self.step(model, plan);
+        if !self.active && self.cfg.scheduler == SchedulerMode::ActivityDriven {
+            self.fast_forward(model, plan, limit);
+        }
+    }
+
+    /// After a quiescent cycle `c` (`self.cycle == c + 1`): simulates the
+    /// template `c + 1` and skips its repeats up to `min(T, limit)`, if
+    /// there is at least one. Cold and out of line: most cycles are not
+    /// quiescent, and the run loop then pays only for the flag check.
+    #[cold]
+    #[inline(never)]
+    fn fast_forward(&mut self, model: &Model<D, R>, plan: &ExecPlan, limit: u64) {
+        // Cycle `c` may have visited places on a stale wake bound, so its
+        // successor is the template.
+        let stop = self.next_event(plan).min(limit);
+        if stop <= self.cycle + 1 {
+            return; // no repeat of the template to skip
+        }
+        self.ff_mark.record(&self.stats, &self.sched);
+        self.step(model, plan);
+        debug_assert!(!self.active, "the successor of a quiescent cycle is quiescent");
+        if self.active {
+            return;
+        }
+        let repeats = stop - self.cycle;
+        if self.ff_mark.repeat(&mut self.stats, &mut self.sched, repeats) {
+            self.cycle = stop;
+            self.machine.cycle = stop - 1;
+            self.fast_forwarded += repeats;
+        }
+    }
+
+    /// After a quiescent cycle `c` (`self.cycle == c + 1`): `T`, the
+    /// earliest cycle after the template `c + 1` that can differ from it.
+    /// That is the earliest wake bound still ahead (a place re-armed for
+    /// the template by a stalled token contributes its delayed residents'
+    /// `ready_at` instead) or reservation scan. A wake bound is never
+    /// later than its place's earliest `ready_at`, so a stale one stops
+    /// the skip at the cycle whose visit it causes. Returns early once the
+    /// bound reaches `c + 2`, which leaves nothing to skip.
+    fn next_event(&self, plan: &ExecPlan) -> u64 {
+        let now = self.cycle;
+        let mut t = u64::MAX;
+        for rt in &self.places {
+            if rt.n_instr == 0 {
+                continue;
+            }
+            if rt.wake > now {
+                t = t.min(rt.wake);
+            } else {
+                for r in &rt.live {
+                    if r.kind == TokenKind::Instruction && r.ready_at >= now {
+                        t = t.min(r.ready_at);
+                    }
+                }
+            }
+            if t <= now + 1 {
+                return t;
+            }
+        }
+        for &p in &plan.res_places {
+            let rt = &self.places[p.index()];
+            if rt.n_res > 0 {
+                t = t.min(rt.res_wake);
+            }
+        }
+        t
+    }
+
     /// One clock cycle (Figure 8 main loop body).
     fn step(&mut self, model: &Model<D, R>, plan: &ExecPlan) {
         self.machine.cycle = self.cycle;
+        self.active = false;
         let exhaustive = self.cfg.scheduler == SchedulerMode::Exhaustive;
 
         // 1. Two-list commit: written tokens become readable. Walks the
@@ -484,6 +615,7 @@ impl<D: InstrData, R> EngineState<D, R> {
                 if rt.pending.is_empty() {
                     continue; // stale entry (e.g. the place was flushed)
                 }
+                self.active = true;
                 for r in &rt.pending {
                     self.machine.regs.note_move(r.id, p);
                 }
@@ -541,6 +673,7 @@ impl<D: InstrData, R> EngineState<D, R> {
             });
             rt.n_res -= expired.len() as u32;
             rt.res_wake = next_expiry;
+            self.active |= !expired.is_empty();
             let stage = plan.hot_place[pi].stage as usize;
             for &id in &expired {
                 self.pool.discard(id);
@@ -778,6 +911,7 @@ impl<D: InstrData, R> EngineState<D, R> {
             let passed = match plan.dispatch[tid].guard {
                 GuardCode::None => unreachable!("has_guard implies a guard code"),
                 GuardCode::Closure => {
+                    self.active = true;
                     self.sched.guard_hook_evals += 1;
                     let Some(GuardKind::Closure(guard)) = &model.transitions[tid].guard else {
                         unreachable!("GuardCode::Closure implies a closure guard")
@@ -787,6 +921,7 @@ impl<D: InstrData, R> EngineState<D, R> {
                     guard(&self.machine, data)
                 }
                 GuardCode::Prog(idx) => {
+                    self.active |= plan.calls_hook[idx as usize];
                     self.sched.guard_ir_evals += 1;
                     let tok = self.pool.get(token).expect("token live during guard");
                     let data = tok.data.as_ref().expect("instruction token has data");
@@ -864,6 +999,7 @@ impl<D: InstrData, R> EngineState<D, R> {
 
         // Fire: same observable sequence as `EngineState::fire`, minus
         // the impossible parts (joins, reservations, side effects).
+        self.active = true;
         let cycle = self.cycle;
         let tid = sb.tid as usize;
         self.remove_from_place(plan, place.index(), token, TokenKind::Instruction);
@@ -1047,6 +1183,7 @@ impl<D: InstrData, R> EngineState<D, R> {
         token: TokenId,
         place: PlaceId,
     ) {
+        self.active = true;
         let cycle = self.cycle;
 
         // Consume extra-input tokens (joins) first.
@@ -1235,6 +1372,7 @@ impl<D: InstrData, R> EngineState<D, R> {
                 if !hp.is_end && self.stage_occ[hp.stage as usize] >= hp.cap {
                     break;
                 }
+                self.active = true;
                 if let Some(guard) = &model.sources[si].guard {
                     if !guard(&self.machine) {
                         break;

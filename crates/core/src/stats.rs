@@ -54,6 +54,13 @@ pub struct Stats {
 /// own block where they can differ freely. They are still deterministic
 /// for a fixed engine configuration, so batch/sweep determinism checks may
 /// include them.
+///
+/// They do not depend on how the cycles were driven. Under the activity
+/// scheduler, [`crate::engine::Engine::run`] fast-forwards quiescent
+/// cycles and counts each skipped cycle as the template cycle it repeats
+/// (`DESIGN.md` §2a, "Quiescent cycles"), so every counter here equals a
+/// cycle-by-cycle [`crate::engine::Engine::step`] run's. How many cycles
+/// were skipped is [`crate::engine::Engine::fast_forwarded_cycles`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SchedStats {
     /// Places scanned for enabled transitions (one per processed place per
@@ -112,10 +119,18 @@ pub struct SchedStats {
 }
 
 impl SchedStats {
-    /// Accumulates `other` into `self` (exhaustive destructuring, like
-    /// [`Stats::merge`]: a new counter that is not merged is a compile
-    /// error).
+    /// Accumulates `other` into `self`.
     pub fn merge(&mut self, other: &SchedStats) {
+        for (a, b) in self.counters_mut().into_iter().zip(other.clone().counters_mut()) {
+            *a += *b;
+        }
+    }
+
+    /// Every counter, in declaration order. Exhaustive destructuring, like
+    /// [`Stats::merge`]: a new counter that is left out of the list (and
+    /// so out of [`SchedStats::merge`] and the engine's fast-forward) is a
+    /// compile error.
+    pub(crate) fn counters_mut(&mut self) -> [&mut u64; 15] {
         let SchedStats {
             place_visits,
             place_skips,
@@ -132,22 +147,24 @@ impl SchedStats {
             ops_inlined,
             chains_entered,
             chain_links_fired,
-        } = other;
-        self.place_visits += place_visits;
-        self.place_skips += place_skips;
-        self.token_visits += token_visits;
-        self.token_visits_skipped += token_visits_skipped;
-        self.trans_visits += trans_visits;
-        self.trans_visits_skipped += trans_visits_skipped;
-        self.expiry_scans += expiry_scans;
-        self.expiry_skips += expiry_skips;
-        self.guard_ir_evals += guard_ir_evals;
-        self.guard_hook_evals += guard_hook_evals;
-        self.actions_fused += actions_fused;
-        self.superblocks_entered += superblocks_entered;
-        self.ops_inlined += ops_inlined;
-        self.chains_entered += chains_entered;
-        self.chain_links_fired += chain_links_fired;
+        } = self;
+        [
+            place_visits,
+            place_skips,
+            token_visits,
+            token_visits_skipped,
+            trans_visits,
+            trans_visits_skipped,
+            expiry_scans,
+            expiry_skips,
+            guard_ir_evals,
+            guard_hook_evals,
+            actions_fused,
+            superblocks_entered,
+            ops_inlined,
+            chains_entered,
+            chain_links_fired,
+        ]
     }
 
     /// Total guard evaluations, independent of dispatch representation.
@@ -181,6 +198,81 @@ impl SchedStats {
         } else {
             self.place_skips as f64 / total as f64
         }
+    }
+}
+
+/// The counters a quiescent cycle can move, recorded as the engine's
+/// template cycle begins so that the template's delta can be repeated once
+/// per skipped cycle (`DESIGN.md` §2a, "Quiescent cycles").
+///
+/// A cycle that fires, commits, expires and generates nothing moves only
+/// the cycle, stall, guard-failure and capacity-block counts, the
+/// per-place stall and occupancy vectors, and [`SchedStats`].
+#[derive(Debug, Default)]
+pub(crate) struct TemplateMark {
+    scalars: [u64; 4],
+    sched: SchedStats,
+    place_stalls: Vec<u64>,
+    occupancy: Vec<u64>,
+}
+
+impl TemplateMark {
+    pub(crate) fn record(&mut self, stats: &Stats, sched: &SchedStats) {
+        self.scalars = [stats.cycles, stats.stalls, stats.guard_fails, stats.capacity_blocks];
+        self.sched.clone_from(sched);
+        self.place_stalls.clone_from(&stats.place_stalls);
+        self.occupancy.clone_from(&stats.occupancy);
+    }
+
+    /// Adds `repeats` times each counter's movement since
+    /// [`TemplateMark::record`] to it. Returns `false`, changing no
+    /// counter, if one would overflow. Either way the mark is spent.
+    pub(crate) fn repeat(
+        &mut self,
+        stats: &mut Stats,
+        sched: &mut SchedStats,
+        repeats: u64,
+    ) -> bool {
+        /// Turns each mark into its counter's delta; returns whether
+        /// `repeats` more of every delta fit.
+        fn to_deltas<'a>(
+            pairs: impl Iterator<Item = (&'a mut u64, &'a mut u64)>,
+            repeats: u64,
+        ) -> bool {
+            let mut fits = true;
+            for (now, mark) in pairs {
+                *mark = *now - *mark;
+                fits &= mark.checked_mul(repeats).and_then(|d| now.checked_add(d)).is_some();
+            }
+            fits
+        }
+        fn add<'a>(pairs: impl Iterator<Item = (&'a mut u64, &'a mut u64)>, repeats: u64) {
+            for (now, delta) in pairs {
+                *now += *delta * repeats;
+            }
+        }
+        let mut scalars = [
+            &mut stats.cycles,
+            &mut stats.stalls,
+            &mut stats.guard_fails,
+            &mut stats.capacity_blocks,
+        ];
+        let mut sched_now = sched.counters_mut();
+        let mut sched_mark = self.sched.counters_mut();
+        let fits = to_deltas(scalars.iter_mut().map(|c| &mut **c).zip(&mut self.scalars), repeats)
+            & to_deltas(
+                sched_now.iter_mut().map(|c| &mut **c).zip(sched_mark.iter_mut().map(|c| &mut **c)),
+                repeats,
+            )
+            & to_deltas(stats.place_stalls.iter_mut().zip(&mut self.place_stalls), repeats)
+            & to_deltas(stats.occupancy.iter_mut().zip(&mut self.occupancy), repeats);
+        if fits {
+            add(scalars.into_iter().zip(&mut self.scalars), repeats);
+            add(sched_now.into_iter().zip(sched_mark), repeats);
+            add(stats.place_stalls.iter_mut().zip(&mut self.place_stalls), repeats);
+            add(stats.occupancy.iter_mut().zip(&mut self.occupancy), repeats);
+        }
+        fits
     }
 }
 

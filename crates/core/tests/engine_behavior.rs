@@ -939,3 +939,233 @@ fn an_over_full_latch_fires_its_residents_in_insertion_order() {
         assert_grid_agrees(&runs);
     }
 }
+
+// Fast-forwarding quiescent cycles: `Engine::run` skips the exact repeats
+// of a cycle that moved nothing and must leave everything a loop of
+// `Engine::step` calls would.
+
+/// What a run leaves observable: trace, statistics, scheduler counters,
+/// the engine cycle and the machine's mirror of it.
+fn observed(e: &mut Engine<Tok, Feed>) -> (Vec<TraceEvent>, Stats, SchedStats, u64, u64) {
+    (e.take_trace(), e.stats().clone(), e.sched().clone(), e.cycle(), e.machine().cycle)
+}
+
+/// A traced engine over `model` with `n` class-`c` instructions to fetch.
+fn traced(model: Model<Tok, Feed>, c: OpClassId, n: usize) -> Engine<Tok, Feed> {
+    let feed = Feed::default();
+    feed.program.borrow_mut().extend((0..n).map(|_| Tok::plain(c)));
+    let cfg = EngineConfig { trace: true, collect_occupancy: true, ..Default::default() };
+    Engine::with_config(model, Machine::new(RegisterFile::new(), feed), cfg)
+}
+
+/// fetch -> p1 -> p2 -> end, both latches capacity 1, with a `delay`-cycle
+/// residency in p2.
+fn long_latch(delay: u32, n: usize) -> Engine<Tok, Feed> {
+    let mut b = ModelBuilder::<Tok, Feed>::new();
+    let l1 = b.stage("L1", 1);
+    let l2 = b.stage("L2", 1);
+    let p1 = b.place("p1", l1);
+    let p2 = b.place_with_delay("p2", l2, delay);
+    let end = b.end_place();
+    let (c, _) = b.class_net("Alu");
+    b.transition(c, "t12").from(p1).to(p2).done();
+    b.transition(c, "t2e").from(p2).to(end).done();
+    feed_source(&mut b, p1);
+    traced(b.build().unwrap(), c, n)
+}
+
+#[test]
+fn a_long_latch_delay_fast_forwards_the_predicted_cycles() {
+    const DELAY: u64 = 20;
+    let mut run = long_latch(DELAY as u32, 3);
+    let mut stepped = long_latch(DELAY as u32, 3);
+    assert_eq!(run.run(100), RunOutcome::CycleLimit);
+    for _ in 0..100 {
+        stepped.step();
+    }
+    // While each of the first two tokens sits out its DELAY cycles in p2,
+    // the next one is capacity-blocked in p1 and fetch is blocked behind
+    // it: after the cycle that filled p2, DELAY - 1 cycles move nothing.
+    // The first of them and its successor (the template) are simulated;
+    // the other DELAY - 3 are skipped. During the third token's wait p1 is
+    // empty, so fetch is consulted every cycle and nothing is skipped.
+    assert_eq!(run.fast_forwarded_cycles(), 2 * (DELAY - 3));
+    assert_eq!(stepped.fast_forwarded_cycles(), 0);
+    assert_eq!(run.stats().retired, 3);
+    assert_eq!(observed(&mut run), observed(&mut stepped));
+}
+
+#[test]
+fn run_stops_at_its_limit_inside_a_quiescent_stretch() {
+    let mut run = long_latch(20, 3);
+    let mut stepped = long_latch(20, 3);
+    // The first wait lasts until cycle 21. Cycle 2 is its first quiescent
+    // cycle and cycle 3 the template, so run(10) skips cycles 4..=9.
+    assert_eq!(run.run(10), RunOutcome::CycleLimit);
+    assert_eq!(run.cycle(), 10);
+    assert_eq!(run.fast_forwarded_cycles(), 6);
+    for _ in 0..10 {
+        stepped.step();
+    }
+    assert_eq!(observed(&mut run), observed(&mut stepped));
+    // A run that resumes inside the stretch, and whose limit falls inside
+    // the next one, still ends on its limit in step.
+    assert_eq!(run.run(30), RunOutcome::CycleLimit);
+    assert_eq!(run.cycle(), 40);
+    for _ in 0..30 {
+        stepped.step();
+    }
+    assert_eq!(observed(&mut run), observed(&mut stepped));
+}
+
+#[test]
+fn a_guard_reading_the_cycle_prevents_fast_forward() {
+    // p2's exit opens at cycle 30 through a guard that reads the machine
+    // cycle: a closure, or an IR program that calls a hook. Nothing else
+    // changes while it is shut and no token is delayed, so a rule that
+    // trusted such guards would skip straight past the opening.
+    for through_ir in [false, true] {
+        let build = || {
+            let mut b = ModelBuilder::<Tok, Feed>::new();
+            let l1 = b.stage("L1", 1);
+            let l2 = b.stage("L2", 1);
+            let p1 = b.place("p1", l1);
+            let p2 = b.place("p2", l2);
+            let end = b.end_place();
+            let (c, _) = b.class_net("Alu");
+            b.transition(c, "t12").from(p1).to(p2).done();
+            let opens = |m: &Machine<Feed>, _: &Tok| m.cycle >= 30;
+            if through_ir {
+                let hook = b.hook_guard(opens);
+                let guard = Program::new(vec![MicroOp::CallHook(hook)]);
+                b.transition(c, "t2e").from(p2).to(end).guard_ir(guard).done();
+            } else {
+                b.transition(c, "t2e").from(p2).to(end).guard(opens).done();
+            }
+            feed_source(&mut b, p1);
+            traced(b.build().unwrap(), c, 3)
+        };
+        let (mut run, mut stepped) = (build(), build());
+        run.run(60);
+        for _ in 0..60 {
+            stepped.step();
+        }
+        assert_eq!(run.fast_forwarded_cycles(), 0, "through_ir: {through_ir}");
+        assert_eq!(run.stats().retired, 3, "through_ir: {through_ir}");
+        assert_eq!(observed(&mut run), observed(&mut stepped), "through_ir: {through_ir}");
+    }
+}
+
+#[test]
+fn a_source_guard_consulted_every_cycle_prevents_fast_forward() {
+    // Fetch opens at cycle 30 through its source guard, over an empty
+    // pipeline: only the guard's answer changes.
+    let build = || {
+        let mut b = ModelBuilder::<Tok, Feed>::new();
+        let l1 = b.stage("L1", 1);
+        let p1 = b.place("p1", l1);
+        let end = b.end_place();
+        let (c, _) = b.class_net("Alu");
+        b.transition(c, "t1e").from(p1).to(end).done();
+        b.source("fetch")
+            .to(p1)
+            .guard(|m: &Machine<Feed>| m.cycle >= 30)
+            .produce(|m: &mut Machine<Feed>, _fx| m.res.program.borrow_mut().pop_front())
+            .done();
+        traced(b.build().unwrap(), c, 3)
+    };
+    let (mut run, mut stepped) = (build(), build());
+    run.run(60);
+    for _ in 0..60 {
+        stepped.step();
+    }
+    assert_eq!(run.fast_forwarded_cycles(), 0);
+    assert_eq!(run.stats().retired, 3);
+    assert_eq!(observed(&mut run), observed(&mut stepped));
+}
+
+#[test]
+fn a_deadlock_fast_forwards_to_the_limit_without_overflow() {
+    // p1 and p2 (capacity 1 each) hold tokens bound for each other, and p3
+    // holds one whose IR guard never passes. Every stall is a capacity or
+    // IR stall, nothing is delayed and nothing is reserved, so no event
+    // ever ends the quiescent stretch.
+    fn build() -> Engine<Tok, Feed> {
+        let mut b = ModelBuilder::<Tok, Feed>::new();
+        let (l1, l2, l3) = (b.stage("L1", 1), b.stage("L2", 1), b.stage("L3", 1));
+        let (p1, p2, p3) = (b.place("p1", l1), b.place("p2", l2), b.place("p3", l3));
+        let end = b.end_place();
+        let (c, _) = b.class_net("Alu");
+        b.transition(c, "t12").from(p1).to(p2).done();
+        b.transition(c, "t21").from(p2).to(p1).done();
+        b.transition(c, "t3e")
+            .from(p3)
+            .to(end)
+            .guard_ir(Program::new(vec![MicroOp::CheckCond { expect: false }]))
+            .done();
+        let mut e = traced(b.build().unwrap(), c, 0);
+        for p in [p1, p2, p3] {
+            e.inject(Tok::plain(c), p);
+        }
+        e
+    }
+    const LIMIT: u64 = 1_000_000_000;
+    let mut e = build();
+    assert_eq!(e.run(LIMIT), RunOutcome::CycleLimit);
+    assert_eq!(e.cycle(), LIMIT);
+    // Cycle 0 commits the injected tokens, cycle 1 is quiescent and cycle
+    // 2 is the template; everything after it is skipped.
+    assert_eq!(e.fast_forwarded_cycles(), LIMIT - 3);
+    assert!(e.take_trace().is_empty());
+
+    // The counters grow by the stepped per-cycle delta.
+    let mut stepped = build();
+    for _ in 0..10 {
+        stepped.step();
+    }
+    let (s10, q10) = (stepped.stats().clone(), stepped.sched().clone());
+    stepped.step();
+    let (s11, q11) = (stepped.stats().clone(), stepped.sched().clone());
+    let at_limit = |at10: u64, at11: u64| at10 + (at11 - at10) * (LIMIT - 10);
+    let each = |at10: &[u64], at11: &[u64]| -> Vec<u64> {
+        at10.iter().zip(at11).map(|(&a, &b)| at_limit(a, b)).collect()
+    };
+    let expected = Stats {
+        cycles: at_limit(s10.cycles, s11.cycles),
+        retired: at_limit(s10.retired, s11.retired),
+        generated: at_limit(s10.generated, s11.generated),
+        emitted: at_limit(s10.emitted, s11.emitted),
+        flushed: at_limit(s10.flushed, s11.flushed),
+        reservations: at_limit(s10.reservations, s11.reservations),
+        leaked_reservations: at_limit(s10.leaked_reservations, s11.leaked_reservations),
+        guard_fails: at_limit(s10.guard_fails, s11.guard_fails),
+        capacity_blocks: at_limit(s10.capacity_blocks, s11.capacity_blocks),
+        stalls: at_limit(s10.stalls, s11.stalls),
+        two_list_commits: at_limit(s10.two_list_commits, s11.two_list_commits),
+        fires: each(&s10.fires, &s11.fires),
+        source_fires: each(&s10.source_fires, &s11.source_fires),
+        place_stalls: each(&s10.place_stalls, &s11.place_stalls),
+        occupancy: each(&s10.occupancy, &s11.occupancy),
+    };
+    assert_eq!(expected.cycles, LIMIT);
+    assert_eq!(expected.stalls, 3 * LIMIT - 3, "three stalls a cycle from cycle 1 on");
+    assert_eq!(e.stats(), &expected);
+    let expected = SchedStats {
+        place_visits: at_limit(q10.place_visits, q11.place_visits),
+        place_skips: at_limit(q10.place_skips, q11.place_skips),
+        token_visits: at_limit(q10.token_visits, q11.token_visits),
+        token_visits_skipped: at_limit(q10.token_visits_skipped, q11.token_visits_skipped),
+        trans_visits: at_limit(q10.trans_visits, q11.trans_visits),
+        trans_visits_skipped: at_limit(q10.trans_visits_skipped, q11.trans_visits_skipped),
+        expiry_scans: at_limit(q10.expiry_scans, q11.expiry_scans),
+        expiry_skips: at_limit(q10.expiry_skips, q11.expiry_skips),
+        guard_ir_evals: at_limit(q10.guard_ir_evals, q11.guard_ir_evals),
+        guard_hook_evals: at_limit(q10.guard_hook_evals, q11.guard_hook_evals),
+        actions_fused: at_limit(q10.actions_fused, q11.actions_fused),
+        superblocks_entered: at_limit(q10.superblocks_entered, q11.superblocks_entered),
+        ops_inlined: at_limit(q10.ops_inlined, q11.ops_inlined),
+        chains_entered: at_limit(q10.chains_entered, q11.chains_entered),
+        chain_links_fired: at_limit(q10.chain_links_fired, q11.chain_links_fired),
+    };
+    assert_eq!(e.sched(), &expected);
+}

@@ -10,7 +10,7 @@ use arm_isa::program::{MemLayout, Program};
 use rcpn::artifact::{ArtifactCache, ArtifactError};
 use rcpn::batch::BatchRunner;
 use rcpn::compiled::CompiledModel;
-use rcpn::engine::{Engine, RunOutcome};
+use rcpn::engine::Engine;
 use rcpn::ids::RegId;
 use rcpn::spec::PipelineSpec;
 use rcpn::stats::{SchedStats, Stats};
@@ -348,10 +348,15 @@ impl CaSim {
     /// Runs until program exit (with the pipeline fully drained so the
     /// architectural state is final), fault, or the cycle budget is
     /// exhausted.
+    ///
+    /// Quiescent stretches are fast-forwarded
+    /// ([`Engine::step_then_skip`]); the result, statistics, trace and
+    /// machine state equal a loop of [`CaSim::step`] calls under the same
+    /// stop rule.
     pub fn run(&mut self, max_cycles: u64) -> SimResult {
         let limit = self.engine.cycle().saturating_add(max_cycles);
         while !self.engine.halted() && self.engine.cycle() < limit {
-            self.engine.step();
+            self.engine.step_then_skip(limit);
             if self.engine.machine().res.exit.is_some() && self.engine.live_tokens() == 0 {
                 break;
             }
@@ -385,11 +390,6 @@ impl CaSim {
     /// observability block).
     pub fn sched(&self) -> &SchedStats {
         self.engine.sched()
-    }
-
-    /// Outcome helper mirroring [`Engine::run`]'s result.
-    pub fn run_outcome(&mut self, max_cycles: u64) -> RunOutcome {
-        self.engine.run(max_cycles)
     }
 
     /// Architectural value of register `n` (0–14).
@@ -480,6 +480,63 @@ mod tests {
             "activity scheduling must not visit more than the oracle sweeps"
         );
         assert_eq!(act.1.retired, exh.1.retired);
+    }
+
+    /// `CaSim::run` fast-forwards quiescent cycles. It must end exactly
+    /// where a loop of `step` calls under the same stop rule ends, on a
+    /// linked-list walk whose every node load misses the D-cache.
+    #[test]
+    fn run_equals_stepping_on_a_dcache_missing_walk() {
+        const NODES: u32 = 64;
+        const NODE_WORDS: u32 = 8; // one 32-byte D-cache line per node
+        let mut program = assemble(&format!(
+            "    ldr r1, =nodes\n    mov r2, #{NODES}\n    mov r0, #0\nwalk:\n    ldr r3, [r1, #4]\n    \
+             ldr r1, [r1]\n    add r0, r0, r3\n    subs r2, r2, #1\n    bne walk\n    swi #0\n    \
+             .pool\n    .align 32\nnodes:\n"
+        ))
+        .unwrap();
+        let nodes = program.label("nodes").unwrap();
+        assert_eq!(nodes, program.image_end(), "the nodes follow the code");
+        // Node i links to node (i + 5) mod NODES, one cycle through all.
+        for i in 0..NODES {
+            let next = nodes + (i + 5) % NODES * NODE_WORDS * 4;
+            program.words.extend([next, 3 * i + 1]);
+            program.words.extend([0; NODE_WORDS as usize - 2]);
+        }
+        let expected: u32 = (0..NODES).map(|i| 3 * i + 1).sum();
+        const LIMIT: u64 = 1_000_000;
+        for model in ProcModel::ALL {
+            let config = SimConfig {
+                engine: rcpn::engine::EngineConfig {
+                    trace: true,
+                    collect_occupancy: true,
+                    ..Default::default()
+                },
+                ..model.default_config()
+            };
+            let compiled = CompiledSim::new(model, &config);
+            let mut run = compiled.instantiate(&program);
+            let mut stepped = compiled.instantiate(&program);
+            let result = run.run(LIMIT);
+            while !stepped.halted() && stepped.engine.cycle() < LIMIT {
+                stepped.step();
+                if stepped.res().exit.is_some() && stepped.engine.live_tokens() == 0 {
+                    break;
+                }
+            }
+            assert_eq!(result.exit, Some(expected), "{model:?}");
+            assert!(run.res().dcache.stats().misses >= u64::from(NODES), "{model:?}");
+            assert!(run.engine.fast_forwarded_cycles() > 0, "{model:?}: nothing skipped");
+            assert_eq!(stepped.engine.fast_forwarded_cycles(), 0);
+            assert_eq!(result, stepped.result(), "{model:?}");
+            assert_eq!(run.engine.stats(), stepped.engine.stats(), "{model:?}");
+            assert_eq!(run.sched(), stepped.sched(), "{model:?}");
+            assert_eq!(run.engine.take_trace(), stepped.engine.take_trace(), "{model:?}");
+            for n in 0..15 {
+                assert_eq!(run.reg(n), stepped.reg(n), "{model:?}: r{n}");
+            }
+            assert_eq!(run.output(), stepped.output(), "{model:?}");
+        }
     }
 
     #[test]
