@@ -1,4 +1,5 @@
-//! Engine-core speed probe at several pipeline depths.
+//! Engine-core speed probe at several pipeline depths. It asserts that
+//! each pipeline stays full: one token fetched and one retired per cycle.
 use rcpn::prelude::*;
 use std::time::Instant;
 
@@ -39,6 +40,10 @@ fn main() {
         let t0 = Instant::now();
         e.run(n);
         let dt = t0.elapsed().as_secs_f64();
+        // A full pipeline: one token fetched per cycle, and every token
+        // but the `depth` still in flight retired.
+        assert_eq!(e.stats().generated, n, "depth {depth}: one fetch per cycle");
+        assert_eq!(e.stats().retired, n - depth as u64, "depth {depth}: one retirement per cycle");
         eprintln!(
             "depth {depth}: {:.1} Mcyc/s ({:.0} ns/cycle, {:.1} ns/move)",
             n as f64 / dt / 1e6,

@@ -63,18 +63,20 @@
 //!
 //! ## Quiescent cycles
 //!
-//! A cycle is *quiescent* when it fires no transition, commits no
-//! two-list latch, expires no reservation, consults no source, and
-//! evaluates no closure guard and no IR guard program containing a
-//! `CallHook`. Everything else such a cycle reads — stage occupancy,
-//! token readiness, join availability, register-file checks — only those
-//! events change, so after a quiescent cycle `c` every cycle up to the
-//! next token maturity or reservation scan `T` repeats cycle `c + 1`
-//! exactly. Under the activity scheduler, [`Engine::run`] (through
-//! [`Engine::step_then_skip`]) simulates `c + 1` as the template, jumps to
-//! `T` and adds the template's counter deltas once per skipped cycle, so
-//! the trace, [`Stats`] and [`SchedStats`] equal a cycle-by-cycle run's
-//! (`DESIGN.md` §2a). [`Engine::step`] always runs exactly one cycle.
+//! A cycle is *quiescent* when it fires no transition, consults no
+//! source, and evaluates no closure guard and no IR guard program
+//! containing a `CallHook`. Everything else such a cycle reads — stage
+//! occupancy, token readiness, join availability, register-file checks —
+//! only those events, latch commits and reservation expiries change. A
+//! cycle's commit and expiry happen before its first visit, and a
+//! quiescent cycle writes no latch, so after a quiescent cycle `c` every
+//! cycle up to the next token maturity or reservation scan `T` repeats
+//! cycle `c + 1` exactly. Under the activity scheduler, [`Engine::run`]
+//! (through [`Engine::step_then_skip`]) simulates `c + 1` as the
+//! template, jumps to `T` and adds the template's counter deltas once per
+//! skipped cycle, so the trace, [`Stats`] and [`SchedStats`] equal a
+//! cycle-by-cycle run's (`DESIGN.md` §2a). [`Engine::step`] always runs
+//! exactly one cycle.
 //!
 //! Three optimizations from the paper are implemented and individually
 //! switchable through [`EngineConfig`] so their contribution can be
@@ -267,7 +269,10 @@ struct EngineState<D: InstrData, R> {
     /// consumed by the immediately following fused acquire.
     fused_memo: Vec<bool>,
     /// Set by every event that keeps the current cycle from being
-    /// quiescent (see the module docs); cleared at the start of a cycle.
+    /// quiescent (see the module docs): a firing, a source consulted, a
+    /// closure or hook-calling guard evaluated. A latch commit or a
+    /// reservation expiry does not set it. Cleared at the start of a
+    /// cycle.
     active: bool,
     /// Cycles skipped by [`EngineState::step_then_skip`].
     fast_forwarded: u64,
@@ -534,8 +539,9 @@ impl<D: InstrData, R> EngineState<D, R> {
     #[cold]
     #[inline(never)]
     fn fast_forward(&mut self, model: &Model<D, R>, plan: &ExecPlan, limit: u64) {
-        // Cycle `c` may have visited places on a stale wake bound, so its
-        // successor is the template.
+        // Cycle `c` may have visited places on a stale wake bound, or
+        // committed a latch or expired a reservation before its visits, so
+        // its successor is the template.
         let stop = self.next_event(plan).min(limit);
         if stop <= self.cycle + 1 {
             return; // no repeat of the template to skip
@@ -592,6 +598,18 @@ impl<D: InstrData, R> EngineState<D, R> {
     }
 
     /// One clock cycle (Figure 8 main loop body).
+    ///
+    /// This is the whole busy-cycle kernel: the place visit, both dispatch
+    /// paths and the token move (`process_place`, `visit`,
+    /// `try_fire_superblock`, `try_fire`, `fire`, `remove_from_place`,
+    /// `insert_token`) are `#[inline(always)]` and compile into it, the
+    /// way the paper's generated loop is straight-line code per place.
+    /// (The generic path's candidate walk, an `Iterator::any`, still
+    /// compiles to an out-of-line `try_fold` holding `try_fire` and
+    /// `fire`.) Inlining the whole chain measured 1.05–1.09× on paper-kernels'
+    /// speedups; inlining only part of it measured nothing, and also
+    /// inlining the IR, pool and register-file helpers measured worse
+    /// (`DESIGN.md` §2h).
     fn step(&mut self, model: &Model<D, R>, plan: &ExecPlan) {
         self.machine.cycle = self.cycle;
         self.active = false;
@@ -615,7 +633,6 @@ impl<D: InstrData, R> EngineState<D, R> {
                 if rt.pending.is_empty() {
                     continue; // stale entry (e.g. the place was flushed)
                 }
-                self.active = true;
                 for r in &rt.pending {
                     self.machine.regs.note_move(r.id, p);
                 }
@@ -673,7 +690,6 @@ impl<D: InstrData, R> EngineState<D, R> {
             });
             rt.n_res -= expired.len() as u32;
             rt.res_wake = next_expiry;
-            self.active |= !expired.is_empty();
             let stage = plan.hot_place[pi].stage as usize;
             for &id in &expired {
                 self.pool.discard(id);
@@ -774,6 +790,7 @@ impl<D: InstrData, R> EngineState<D, R> {
     /// contributes `cycle + 1` (its enabling conditions may change), and
     /// insertions that happen *during* the scan lower the bound through
     /// [`EngineState::insert_token`].
+    #[inline(always)]
     fn process_place(&mut self, model: &Model<D, R>, plan: &ExecPlan, p: PlaceId) -> bool {
         let pi = p.index();
         let n = self.places[pi].live.len();
@@ -828,7 +845,7 @@ impl<D: InstrData, R> EngineState<D, R> {
     /// lowers `next_wake`; a ready one tries the candidate transitions of
     /// its class, and if none fires it stalls and re-arms the place for
     /// the next cycle. Returns whether a transition fired.
-    #[inline]
+    #[inline(always)]
     fn visit(
         &mut self,
         model: &Model<D, R>,
@@ -884,7 +901,7 @@ impl<D: InstrData, R> EngineState<D, R> {
     }
 
     /// Checks capacity / extra inputs / guard; fires if enabled.
-    #[inline]
+    #[inline(always)]
     fn try_fire(
         &mut self,
         model: &Model<D, R>,
@@ -956,7 +973,7 @@ impl<D: InstrData, R> EngineState<D, R> {
     /// bit-identical to [`EngineState::try_fire`] on the same transition;
     /// only the two superblock [`SchedStats`] counters and host work
     /// differ.
-    #[inline]
+    #[inline(always)]
     fn try_fire_superblock(
         &mut self,
         plan: &ExecPlan,
@@ -1082,7 +1099,7 @@ impl<D: InstrData, R> EngineState<D, R> {
             .copied()
     }
 
-    #[inline]
+    #[inline(always)]
     fn remove_from_place(&mut self, plan: &ExecPlan, place: usize, id: TokenId, kind: TokenKind) {
         let rt = &mut self.places[place];
         let pos = rt.live.iter().position(|r| r.id == id).expect("token listed in its place");
@@ -1106,7 +1123,7 @@ impl<D: InstrData, R> EngineState<D, R> {
     /// `ready`) into `place`, dirtying the place for the scheduler: a live
     /// insert lowers the place's wake bound, a pending insert enlists it
     /// for the next latch commit.
-    #[inline]
+    #[inline(always)]
     fn insert_token(
         &mut self,
         plan: &ExecPlan,
@@ -1174,6 +1191,7 @@ impl<D: InstrData, R> EngineState<D, R> {
 
     /// Fires transition `tid`, moving `token` from `place` to the
     /// destination.
+    #[inline(always)]
     fn fire(
         &mut self,
         model: &Model<D, R>,

@@ -201,13 +201,14 @@ impl SchedStats {
     }
 }
 
-/// The counters a quiescent cycle can move, recorded as the engine's
+/// The counters a template cycle can move, recorded as the engine's
 /// template cycle begins so that the template's delta can be repeated once
 /// per skipped cycle (`DESIGN.md` §2a, "Quiescent cycles").
 ///
-/// A cycle that fires, commits, expires and generates nothing moves only
-/// the cycle, stall, guard-failure and capacity-block counts, the
-/// per-place stall and occupancy vectors, and [`SchedStats`].
+/// The template follows a quiescent cycle and precedes the next event, so
+/// it fires, commits, expires and generates nothing: it moves only the
+/// cycle, stall, guard-failure and capacity-block counts, the per-place
+/// stall and occupancy vectors, and [`SchedStats`].
 #[derive(Debug, Default)]
 pub(crate) struct TemplateMark {
     scalars: [u64; 4],

@@ -958,9 +958,20 @@ fn traced(model: Model<Tok, Feed>, c: OpClassId, n: usize) -> Engine<Tok, Feed> 
     Engine::with_config(model, Machine::new(RegisterFile::new(), feed), cfg)
 }
 
+/// What [`long_latch`] adds to its net.
+#[derive(Clone, Copy)]
+enum Latch {
+    /// Nothing: p2 is a single-list latch.
+    Plain,
+    /// `t12` reads p2's state, which makes p2 a two-list latch.
+    TwoList,
+    /// `t12` also reserves `pr`, on a stage of its own, for 10 cycles.
+    Reserving,
+}
+
 /// fetch -> p1 -> p2 -> end, both latches capacity 1, with a `delay`-cycle
 /// residency in p2.
-fn long_latch(delay: u32, n: usize) -> Engine<Tok, Feed> {
+fn long_latch(delay: u32, n: usize, latch: Latch) -> Engine<Tok, Feed> {
     let mut b = ModelBuilder::<Tok, Feed>::new();
     let l1 = b.stage("L1", 1);
     let l2 = b.stage("L2", 1);
@@ -968,7 +979,18 @@ fn long_latch(delay: u32, n: usize) -> Engine<Tok, Feed> {
     let p2 = b.place_with_delay("p2", l2, delay);
     let end = b.end_place();
     let (c, _) = b.class_net("Alu");
-    b.transition(c, "t12").from(p1).to(p2).done();
+    let pr = matches!(latch, Latch::Reserving).then(|| {
+        let lr = b.stage("LR", 1);
+        b.place("pr", lr)
+    });
+    let mut t12 = b.transition(c, "t12").from(p1).to(p2);
+    if let Latch::TwoList = latch {
+        t12 = t12.reads_state(p2);
+    }
+    if let Some(pr) = pr {
+        t12 = t12.reserve(pr, 10);
+    }
+    t12.done();
     b.transition(c, "t2e").from(p2).to(end).done();
     feed_source(&mut b, p1);
     traced(b.build().unwrap(), c, n)
@@ -977,8 +999,8 @@ fn long_latch(delay: u32, n: usize) -> Engine<Tok, Feed> {
 #[test]
 fn a_long_latch_delay_fast_forwards_the_predicted_cycles() {
     const DELAY: u64 = 20;
-    let mut run = long_latch(DELAY as u32, 3);
-    let mut stepped = long_latch(DELAY as u32, 3);
+    let mut run = long_latch(DELAY as u32, 3, Latch::Plain);
+    let mut stepped = long_latch(DELAY as u32, 3, Latch::Plain);
     assert_eq!(run.run(100), RunOutcome::CycleLimit);
     for _ in 0..100 {
         stepped.step();
@@ -996,9 +1018,50 @@ fn a_long_latch_delay_fast_forwards_the_predicted_cycles() {
 }
 
 #[test]
+fn a_latch_commit_does_not_delay_fast_forward() {
+    // p2 is a two-list latch here: each token becomes readable there
+    // through the commit of the cycle after t12 fired. The commit comes
+    // before that cycle's visits, and the cycle moves nothing else, so it
+    // already repeats into the next one and the skip is as long as the
+    // single-list latch's.
+    const DELAY: u64 = 20;
+    let mut run = long_latch(DELAY as u32, 3, Latch::TwoList);
+    let mut stepped = long_latch(DELAY as u32, 3, Latch::TwoList);
+    assert_eq!(run.run(100), RunOutcome::CycleLimit);
+    for _ in 0..100 {
+        stepped.step();
+    }
+    assert_eq!(run.fast_forwarded_cycles(), 2 * (DELAY - 3));
+    assert_eq!(run.stats().retired, 3);
+    assert!(run.stats().two_list_commits >= 3);
+    assert_eq!(observed(&mut run), observed(&mut stepped));
+}
+
+#[test]
+fn a_reservation_expiry_does_not_delay_fast_forward() {
+    // t12 reserves pr for 10 cycles, so a reservation expires halfway
+    // through each of the first two waits and splits it in two stretches.
+    // Of a wait's DELAY - 1 quiescent cycles, four are simulated: the
+    // first, its template, the expiry cycle (the next event) and the
+    // expiry cycle's successor, the second template. The expiry comes
+    // before its cycle's visits, so that cycle is itself quiescent.
+    const DELAY: u64 = 20;
+    let mut run = long_latch(DELAY as u32, 3, Latch::Reserving);
+    let mut stepped = long_latch(DELAY as u32, 3, Latch::Reserving);
+    assert_eq!(run.run(100), RunOutcome::CycleLimit);
+    for _ in 0..100 {
+        stepped.step();
+    }
+    assert_eq!(run.fast_forwarded_cycles(), 2 * (DELAY - 5));
+    assert_eq!(run.stats().retired, 3);
+    assert_eq!(run.stats().reservations, 3);
+    assert_eq!(observed(&mut run), observed(&mut stepped));
+}
+
+#[test]
 fn run_stops_at_its_limit_inside_a_quiescent_stretch() {
-    let mut run = long_latch(20, 3);
-    let mut stepped = long_latch(20, 3);
+    let mut run = long_latch(20, 3, Latch::Plain);
+    let mut stepped = long_latch(20, 3, Latch::Plain);
     // The first wait lasts until cycle 21. Cycle 2 is its first quiescent
     // cycle and cycle 3 the template, so run(10) skips cycles 4..=9.
     assert_eq!(run.run(10), RunOutcome::CycleLimit);

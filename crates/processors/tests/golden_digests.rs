@@ -8,6 +8,10 @@
 //! table mode can be deleted without taking its bit-identity guarantee
 //! with it.
 //!
+//! The digests cover traced runs only, while every benchmark and served
+//! job runs untraced: `tracing_changes_nothing_simulated` pins the two
+//! paths to each other on the default configuration.
+//!
 //! When the timing model changes on purpose, re-bless with
 //! `RCPN_BLESS=1 cargo test -p processors --test golden_digests` and
 //! commit the fixture (the `elf_fixtures.rs` flow). Any other diff is
@@ -16,9 +20,9 @@
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use processors::sim::{CompiledSim, ProcModel};
+use processors::sim::{CompiledSim, ProcModel, SimResult};
 use rcpn::engine::{EngineConfig, TableMode, TraceEvent};
-use rcpn::stats::Stats;
+use rcpn::stats::{SchedStats, Stats};
 use workloads::{Kernel, Workload};
 
 const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/golden_digests.txt");
@@ -150,4 +154,35 @@ fn simulation_matches_committed_golden_digests() {
         drift.len(),
         drift.join("\n")
     );
+}
+
+/// What an untraced run must share with a traced one.
+type Outcome = (SimResult, Stats, SchedStats, Vec<u32>, Vec<u8>);
+
+/// Runs `kernel` at its test size on `proc`'s default configuration, with
+/// the trace on or off.
+fn outcome(proc: ProcModel, kernel: Kernel, trace: bool) -> Outcome {
+    let mut config = proc.default_config();
+    config.engine.trace = trace;
+    let w = Workload::build(kernel, kernel.test_size());
+    let mut sim = CompiledSim::new(proc, &config).instantiate(&w.program);
+    let result = sim.run(50_000_000);
+    assert_eq!(result.exit, Some(w.expected), "{}/{kernel}: wrong checksum", proc.label());
+    let regs = (0..15).map(|r| sim.reg(r)).collect();
+    (result, sim.engine.stats().clone(), sim.sched().clone(), regs, sim.output().to_vec())
+}
+
+#[test]
+fn tracing_changes_nothing_simulated() {
+    for proc in ProcModel::ALL {
+        assert!(!proc.default_config().engine.trace, "{}: default is untraced", proc.label());
+        for kernel in Kernel::ALL {
+            assert_eq!(
+                outcome(proc, kernel, false),
+                outcome(proc, kernel, true),
+                "{}/{kernel}: the untraced run differs from the traced one",
+                proc.label()
+            );
+        }
+    }
 }
